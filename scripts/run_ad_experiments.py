@@ -14,14 +14,13 @@ import numpy as np
 
 from leafage.data import SplitSpec, generate_artificial, train_test_split
 from leafage.evaluation import (
+    STRATEGIES,
     FidelitySummary,
     results_table,
     run_setting,
     write_results_csv,
 )
 from leafage.models import CANONICAL_ALGORITHMS
-
-STRATEGIES = ("leafage", "lime", "baseline")
 
 
 def median_summary(per_seed: list[FidelitySummary]) -> FidelitySummary:

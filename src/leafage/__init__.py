@@ -13,7 +13,7 @@ from .core import (
     LeafageConfig,
     LocalSurrogate,
     closest_enemy,
-    dissimilarity,
+    dissimilarities,
     explain,
     feature_importances,
     fit_local_linear,
@@ -46,7 +46,7 @@ from .evaluation import (
     run_setting,
     wilcoxon_signed_rank,
 )
-from .lime import LimeConfig, kernel_weight, lime_fit, lime_sample
+from .lime import LimeConfig, kernel_weights, lime_fit, lime_sample
 
 __version__ = "0.1.0"
 
@@ -65,13 +65,13 @@ __all__ = [
     "closest_enemy",
     "sample_local_training_set",
     "fit_local_linear",
-    "dissimilarity",
+    "dissimilarities",
     "feature_importances",
     "retrieve_examples",
     "explain",
     "LimeConfig",
     "lime_sample",
-    "kernel_weight",
+    "kernel_weights",
     "lime_fit",
     "FidelityConfig",
     "FidelitySummary",

@@ -47,16 +47,14 @@ EXIT_EXPLANATION = 5
 DEFAULT_N_PER_CLASS = 250
 
 
-def _env_seed() -> int:
+def _resolve_seed(value: int | None) -> int:
+    if value is not None:
+        return value
     raw = os.environ.get("LEAFAGE_SEED", "0")
     try:
         return int(raw)
     except ValueError:
         raise DataError(f"LEAFAGE_SEED must be an integer, got {raw!r}") from None
-
-
-def _resolve_seed(value: int | None) -> int:
-    return _env_seed() if value is None else value
 
 
 def _load_dataset(

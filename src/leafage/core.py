@@ -28,7 +28,6 @@ __all__ = [
     "sample_local_training_set",
     "fit_local_linear",
     "weighted_logistic_fit",
-    "dissimilarity",
     "dissimilarities",
     "feature_importances",
     "retrieve_examples",
@@ -40,11 +39,10 @@ DEGENERATE_WEIGHT_NORM = 1e-12
 
 @dataclass(frozen=True)
 class LeafageConfig:
-    """Knobs for the local explanation procedure."""
+    """Knobs for the local explanation procedure; ``seed`` is not read."""
 
     i_small: int = 10
     k_examples: int = 5
-    distance: str = "euclidean"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -52,8 +50,6 @@ class LeafageConfig:
             raise ExplanationError("i_small must be an integer greater than 1")
         if self.k_examples < 1:
             raise ExplanationError("k_examples must be at least 1")
-        if self.distance != "euclidean":
-            raise ExplanationError("only Euclidean distance is supported")
 
 
 @dataclass
@@ -208,14 +204,12 @@ def fit_local_linear(
     features: np.ndarray,
     predicted: np.ndarray,
     local_indices: np.ndarray,
-    seed: int = 0,
 ) -> LocalSurrogate:
     """Logistic surrogate on the local subset, targets = model labels.
 
     Never raises on pathological neighbourhoods: a single-class subset or
     a vanishing weight vector yields a flagged degenerate surrogate.  The
-    solve itself is deterministic; ``seed`` is accepted for interface
-    symmetry with the samplers.
+    solve is deterministic.
     """
     local_indices = np.asarray(local_indices, dtype=np.int64)
     if local_indices.size == 0:
@@ -262,11 +256,6 @@ def dissimilarities(s: LocalSurrogate, z: np.ndarray, rows: np.ndarray) -> np.nd
         return euclid
     projected = np.abs(rows @ s.weights - z @ s.weights)
     return projected * euclid
-
-
-def dissimilarity(s: LocalSurrogate, z: np.ndarray, t: np.ndarray) -> float:
-    """Scalar form of :func:`dissimilarities` for a single row."""
-    return float(dissimilarities(s, z, np.asarray(t, dtype=np.float64)[None, :])[0])
 
 
 def feature_importances(s: LocalSurrogate, z_std: np.ndarray) -> np.ndarray:
@@ -329,9 +318,9 @@ def explain(
     The returned instance and examples are in original units while
     importances are standardized-space magnitudes.
 
-    Pure function of immutable inputs plus the config seed: explanations
-    for different instances may run in parallel against a shared model
-    and dataset.
+    Pure function of immutable inputs: explanations for different
+    instances may run in parallel against a shared model and dataset.
+    A non-finite ``z`` is rejected.
     """
     cfg = cfg or LeafageConfig()
     standardizer = standardizer or Standardizer.fit(train.features)
@@ -340,6 +329,8 @@ def explain(
         raise ExplanationError(
             f"instance has shape {z.shape}, expected ({train.d},)"
         )
+    if not np.all(np.isfinite(z)):
+        raise ExplanationError("instance has non-finite feature values")
     X_std = standardizer.transform(train.features)
     z_std = standardizer.transform(z[None, :])[0]
     predicted = model.predict_labels(X_std)
@@ -347,7 +338,7 @@ def explain(
 
     x_border = closest_enemy(X_std, predicted, z_std, c_z)
     local_indices = sample_local_training_set(X_std, predicted, x_border, cfg)
-    surrogate = fit_local_linear(X_std, predicted, local_indices, seed=cfg.seed)
+    surrogate = fit_local_linear(X_std, predicted, local_indices)
     surrogate.x_border = x_border
 
     flags = []

@@ -81,10 +81,6 @@ class Dataset:
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=len(self.class_names))
 
-    def label_names(self) -> list[str]:
-        """Label of every row as a class-name string."""
-        return [self.class_names[c] for c in self.labels]
-
 
 @dataclass(frozen=True)
 class Standardizer:

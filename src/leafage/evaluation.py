@@ -23,7 +23,7 @@ from .core import (
     fit_local_linear,
     sample_local_training_set,
 )
-from .data import Dataset, Standardizer, standardized
+from .data import Dataset
 from .errors import DataError, NoEnemiesError
 from .lime import LimeConfig, QuartileBins, lime_fit, lime_quartile_fit
 
@@ -274,11 +274,9 @@ def run_setting(
     classifier: str,
     strategies: tuple[str, ...] = STRATEGIES,
     *,
-    dataset_name: str | None = None,
     leafage_cfg: LeafageConfig | None = None,
     lime_cfg: LimeConfig | None = None,
     fidelity_cfg: FidelityConfig | None = None,
-    hyperparams: dict | None = None,
     model_seed: int = 0,
 ) -> list[FidelitySummary]:
     """Train one classifier and score every strategy on every test row.
@@ -288,8 +286,9 @@ def run_setting(
     at 0.5 on every scored instance.  ``lime`` and ``lime-quartile`` are
     the continuous and the quartile-discretized LIME baselines; both seed
     instance ``i`` from ``lime_cfg.seed`` and ``i`` alone.  Skips (no test
-    enemies, or a single-class sphere) are shared by all strategies, so the
-    per-instance vectors stay aligned for paired significance testing.
+    enemies, a single-class sphere, or no training row predicted unlike
+    the instance) are shared by all strategies, so the per-instance vectors
+    stay aligned for paired significance testing.
     """
     for strategy in strategies:
         if strategy not in KNOWN_STRATEGIES:
@@ -301,12 +300,11 @@ def run_setting(
     leafage_cfg = leafage_cfg or LeafageConfig()
     lime_cfg = lime_cfg or LimeConfig()
     fidelity_cfg = fidelity_cfg or FidelityConfig()
-    dataset_name = train.name if dataset_name is None else dataset_name
 
-    scaler = Standardizer.fit(train.features)
-    model = models.fit(classifier, standardized(train, scaler), hyperparams, model_seed)
-    X_train = scaler.transform(train.features)
-    X_test = scaler.transform(test.features)
+    fitted = models.fit_on_standardized(classifier, train, seed=model_seed)
+    model = fitted.model
+    X_train = fitted.standardizer.transform(train.features)
+    X_test = fitted.standardizer.transform(test.features)
     pred_train = model.predict_labels(X_train)
     pred_test = model.predict_labels(X_test)
     quartile_bins = (
@@ -328,6 +326,8 @@ def run_setting(
             continue
         z = X_test[i]
         c_z = int(pred_test[i])
+        if (pred_train == c_z).all():
+            continue
         for strategy in strategies:
             if strategy == "baseline":
                 surrogate = LocalSurrogate(
@@ -336,16 +336,11 @@ def run_setting(
                     degenerate=True,
                 )
             elif strategy == "leafage":
-                try:
-                    x_border = closest_enemy(X_train, pred_train, z, c_z)
-                except NoEnemiesError:
-                    continue
+                x_border = closest_enemy(X_train, pred_train, z, c_z)
                 local = sample_local_training_set(
                     X_train, pred_train, x_border, leafage_cfg
                 )
-                surrogate = fit_local_linear(
-                    X_train, pred_train, local, seed=leafage_cfg.seed
-                )
+                surrogate = fit_local_linear(X_train, pred_train, local)
             else:
                 cfg_i = replace(lime_cfg, seed=_derived_seed(lime_cfg.seed, i))
                 if strategy == "lime":
@@ -359,7 +354,7 @@ def run_setting(
     positive = train.class_names[1]
     return [
         FidelitySummary.from_scores(
-            (dataset_name, positive, classifier, strategy), scores[strategy]
+            (train.name, positive, classifier, strategy), scores[strategy]
         )
         for strategy in strategies
     ]
@@ -370,10 +365,6 @@ def format_mean_std(mean: float, stddev: float) -> str:
     if math.isnan(mean):
         return "n/a"
     return f"{mean * 100:.1f} ({stddev * 100:.1f})"
-
-
-def _group_key(summary: FidelitySummary) -> tuple[str, str, str]:
-    return summary.setting[:3]
 
 
 def bold_flags(
@@ -389,7 +380,7 @@ def bold_flags(
     """
     groups: dict[tuple[str, str, str], list[FidelitySummary]] = {}
     for s in summaries:
-        groups.setdefault(_group_key(s), []).append(s)
+        groups.setdefault(s.setting[:3], []).append(s)
     flags: dict[tuple[str, str, str, str], bool] = {}
     for members in groups.values():
         means = [(-math.inf if math.isnan(m.mean) else m.mean) for m in members]

@@ -21,15 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LocalSurrogate, weighted_logistic_fit
-from .data import Dataset
+from .core import DEGENERATE_WEIGHT_NORM, LocalSurrogate, weighted_logistic_fit
 from .errors import ExplanationError
 
 __all__ = [
     "LimeConfig",
-    "default_sigma",
     "lime_sample",
-    "kernel_weight",
+    "kernel_weights",
     "lime_fit",
     "QuartileBins",
     "QuartileSurrogate",
@@ -67,11 +65,6 @@ class LimeConfig:
             )
 
 
-def default_sigma(d: int) -> float:
-    """Conventional kernel width 0.75 * sqrt(dimension)."""
-    return 0.75 * math.sqrt(d)
-
-
 def _check_instance(z: np.ndarray, d: int) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (d,):
@@ -79,31 +72,21 @@ def _check_instance(z: np.ndarray, d: int) -> np.ndarray:
     return z
 
 
-def lime_sample(train: Dataset | int, z: np.ndarray, cfg: LimeConfig) -> np.ndarray:
+def lime_sample(d: int, z: np.ndarray, cfg: LimeConfig) -> np.ndarray:
     """Synthetic points drawn i.i.d. per feature from the standard normal.
 
     The training space is standardized, so unit normals cover the input
-    distribution; samples are not centred on ``z``.  ``train`` may be a
-    Dataset or just the dimension.
+    distribution; samples are not centred on ``z``, which only has its
+    shape checked against the dimension ``d``.
     """
-    d = train if isinstance(train, int) else train.d
     _check_instance(z, d)
     cfg.check_n_samples(d)
     rng = np.random.default_rng(cfg.seed)
     return rng.standard_normal((cfg.n_samples, d))
 
 
-def kernel_weight(z: np.ndarray, x: np.ndarray, sigma: float) -> float:
-    """Exponential proximity kernel exp(-||x - z||^2 / sigma^2)."""
-    if sigma <= 0:
-        raise ExplanationError("sigma must be positive")
-    z = np.asarray(z, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    diff = x - z
-    return float(np.exp(-(diff @ diff) / sigma**2))
-
-
-def _kernel_weights(z: np.ndarray, rows: np.ndarray, sigma: float) -> np.ndarray:
+def kernel_weights(z: np.ndarray, rows: np.ndarray, sigma: float) -> np.ndarray:
+    """Exponential proximity kernel exp(-||x - z||^2 / sigma^2) per row."""
     diff = rows - z
     return np.exp(-np.einsum("ij,ij->i", diff, diff) / sigma**2)
 
@@ -120,19 +103,19 @@ def _kernel_logistic_fit(
     if np.unique(labels).size < 2:
         return np.zeros(rows.shape[1]), 0.0, True
     weights, intercept = weighted_logistic_fit(
-        rows, labels, sample_weight=_kernel_weights(center, rows, sigma)
+        rows, labels, sample_weight=kernel_weights(center, rows, sigma)
     )
-    return weights, intercept, bool(np.linalg.norm(weights) < 1e-12)
+    return weights, intercept, bool(np.linalg.norm(weights) < DEGENERATE_WEIGHT_NORM)
 
 
-def lime_fit(model, z: np.ndarray, cfg: LimeConfig, d: int | None = None) -> LocalSurrogate:
+def lime_fit(model, z: np.ndarray, cfg: LimeConfig) -> LocalSurrogate:
     """Kernel-weighted logistic surrogate on black-box-labelled samples.
 
     ``z`` is in standardized space.  Degenerate (flagged) when the black
     box labels every sample identically.
     """
     z = np.asarray(z, dtype=np.float64)
-    d = z.shape[0] if d is None else d
+    d = z.shape[0]
     samples = lime_sample(d, z, cfg)
     weights, intercept, degenerate = _kernel_logistic_fit(
         samples, model.predict_labels(samples), z, cfg.resolve_sigma(d)

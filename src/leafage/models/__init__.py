@@ -10,12 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..data import Dataset, Standardizer, standardized
 from ..errors import ModelError
 from .base import BlackBoxModel
-from .external import ExternalModel, external_predict
+from .external import ExternalModel
 from .linear import LDAModel, LinearSVMModel, LogisticRegressionModel
 from .neighbors import KNearestModel
 from .tree import DecisionTreeModel, RandomForestModel
@@ -29,11 +27,9 @@ __all__ = [
     "RandomForestModel",
     "KNearestModel",
     "ExternalModel",
-    "external_predict",
     "fit",
     "fit_on_standardized",
     "StandardizedModel",
-    "predict_labels",
     "ALGORITHMS",
     "CANONICAL_ALGORITHMS",
 ]
@@ -72,14 +68,6 @@ def fit(
     except TypeError as exc:
         raise ModelError(f"bad hyperparameters for {key!r}: {exc}") from None
     return model.fit(train.features, train.labels, seed=seed)
-
-
-def predict_labels(model: BlackBoxModel, rows: np.ndarray) -> np.ndarray:
-    """One predicted label code per row."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
-    return model.predict_labels(rows)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 A model is queried only through ``predict_labels``; everything downstream
 (neighbourhood sampling, surrogate fitting, fidelity scoring) treats it as
-opaque.  ``predict_scores`` is optional and used nowhere in the
-explanation pipeline itself.
+opaque.  The linear and tree models also expose a real-valued
+``predict_scores`` of their own, which the explanation pipeline never
+calls.
 """
 from __future__ import annotations
 
@@ -18,7 +19,8 @@ class BlackBoxModel(abc.ABC):
     """Opaque label-prediction interface.
 
     Implementations must be deterministic once trained: repeated calls on
-    the same rows return the same labels.
+    the same rows return the same labels, and an empty ``(0, d)`` batch
+    returns an empty int64 array.
     """
 
     descriptor: str = "blackbox"
@@ -26,11 +28,6 @@ class BlackBoxModel(abc.ABC):
     @abc.abstractmethod
     def predict_labels(self, rows: np.ndarray) -> np.ndarray:
         """Predicted class code (int64, one per row)."""
-
-    def predict_scores(self, rows: np.ndarray) -> np.ndarray | None:
-        """Real-valued score per row, higher = class 1; None if the model
-        has no natural score."""
-        return None
 
 
 def check_matrix(rows: np.ndarray, n_features: int) -> np.ndarray:

@@ -7,7 +7,9 @@ Wire protocol, one JSON document per line on stdin/stdout:
 
 Labels are binary codes 0/1.  A handle owns its child process: requests
 are serialized (one in flight at a time) and responses are matched to
-requests by order.
+requests by order.  A request that times out kills the child, since its
+late reply would otherwise answer the next request; the handle is then
+closed and every later request raises.
 """
 from __future__ import annotations
 
@@ -53,6 +55,7 @@ class ExternalModel(BlackBoxModel):
         self._reader = threading.Thread(target=self._pump, daemon=True)
         self._reader.start()
         self._lock = threading.Lock()
+        self._closed_because: str | None = None
 
     def _pump(self) -> None:
         for line in self._proc.stdout:
@@ -65,6 +68,8 @@ class ExternalModel(BlackBoxModel):
             {"op": "predict", "instances": [list(map(float, r)) for r in rows]}
         )
         with self._lock:
+            if self._closed_because is not None:
+                raise ModelError(f"external model is closed: {self._closed_because}")
             try:
                 self._proc.stdin.write(request + "\n")
                 self._proc.stdin.flush()
@@ -73,9 +78,10 @@ class ExternalModel(BlackBoxModel):
             try:
                 line = self._lines.get(timeout=self.timeout_ms / 1000.0)
             except queue.Empty:
-                raise ModelError(
-                    f"external model timed out after {self.timeout_ms} ms"
-                ) from None
+                self._proc.kill()
+                self._proc.wait()
+                self._closed_because = f"a request timed out after {self.timeout_ms} ms"
+                raise ModelError(f"external model: {self._closed_because}") from None
         if line is _EOF:
             raise ModelError("external model process exited mid-request")
         try:
@@ -93,25 +99,22 @@ class ExternalModel(BlackBoxModel):
         return np.asarray(labels, dtype=np.int64)
 
     def close(self) -> None:
-        if self._proc.poll() is None:
-            try:
-                self._proc.stdin.close()
-            except OSError:
-                pass
-            try:
-                self._proc.wait(timeout=2)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
+        self._closed_because = self._closed_because or "close() was called"
+        try:
+            self._proc.stdin.close()
+        except OSError:
+            pass
+        try:
+            self._proc.wait(timeout=2)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
         self._reader.join(timeout=2)
+        if not self._reader.is_alive():
+            self._proc.stdout.close()
 
     def __enter__(self) -> "ExternalModel":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def external_predict(handle: ExternalModel, rows: np.ndarray) -> np.ndarray:
-    """One request/response round trip on an open handle."""
-    return handle.predict_labels(rows)

@@ -5,6 +5,9 @@ import numpy as np
 
 from .base import BlackBoxModel, check_matrix, check_training_set
 
+# Query rows per distance block; bounds the (block, n_train, d) temporary.
+BLOCK_ROWS = 2048
+
 
 class KNearestModel(BlackBoxModel):
     """K=1 nearest neighbour over the stored training set.
@@ -15,8 +18,7 @@ class KNearestModel(BlackBoxModel):
 
     descriptor = "knn"
 
-    def __init__(self, block_rows: int = 2048):
-        self.block_rows = block_rows
+    def __init__(self):
         self.n_features = 0
         self._train: np.ndarray | None = None
         self._labels: np.ndarray | None = None
@@ -31,9 +33,8 @@ class KNearestModel(BlackBoxModel):
     def predict_labels(self, rows: np.ndarray) -> np.ndarray:
         rows = check_matrix(rows, self.n_features)
         out = np.empty(rows.shape[0], dtype=np.int64)
-        # Blockwise pairwise distances keep memory bounded on large batches.
-        for start in range(0, rows.shape[0], self.block_rows):
-            block = rows[start : start + self.block_rows]
+        for start in range(0, rows.shape[0], BLOCK_ROWS):
+            block = rows[start : start + BLOCK_ROWS]
             diff = block[:, None, :] - self._train[None, :, :]
             dist2 = np.einsum("ijk,ijk->ij", diff, diff)
             out[start : start + block.shape[0]] = self._labels[

@@ -1,4 +1,4 @@
-"""Decision tree and random forest built on a shared array-based grower.
+"""Random forest and the decision tree, its one-tree special case.
 
 Trees split on the Gini criterion with midpoint thresholds, stop only on
 pure nodes or exhausted split candidates, and break all ties toward the
@@ -101,7 +101,7 @@ def _grow(
     min_samples_split: int,
     max_depth: int | None,
     max_features: int | None,
-    rng: np.random.Generator | None,
+    rng: np.random.Generator,
 ) -> _Tree:
     d = X.shape[1]
     all_features = np.arange(d)
@@ -141,39 +141,8 @@ def _grow(
     return tree
 
 
-class DecisionTreeModel(BlackBoxModel):
-    """Single fully grown Gini tree; deterministic, no feature sampling."""
-
-    descriptor = "dt"
-
-    def __init__(self, min_samples_split: int = 2, max_depth: int | None = None):
-        self.min_samples_split = min_samples_split
-        self.max_depth = max_depth
-        self.n_features = 0
-        self._tree: _Tree | None = None
-
-    def fit(self, features: np.ndarray, labels: np.ndarray, seed: int = 0):
-        check_training_set(features, labels)
-        X = np.asarray(features, dtype=np.float64)
-        y = np.asarray(labels, dtype=np.int64)
-        self.n_features = X.shape[1]
-        self._tree = _grow(X, y, self.min_samples_split, self.max_depth, None, None)
-        return self
-
-    def predict_scores(self, rows: np.ndarray) -> np.ndarray:
-        rows = check_matrix(rows, self.n_features)
-        return self._tree.predict_prob(rows)
-
-    def predict_labels(self, rows: np.ndarray) -> np.ndarray:
-        return (self.predict_scores(rows) >= 0.5).astype(np.int64)
-
-
 class RandomForestModel(BlackBoxModel):
-    """Bootstrap ensemble of Gini trees with sqrt(d) features per split.
-
-    With ``n_trees=1, bootstrap=False, max_features=None`` it reduces
-    exactly to :class:`DecisionTreeModel`.
-    """
+    """Bootstrap ensemble of Gini trees with sqrt(d) features per split."""
 
     descriptor = "rf"
 
@@ -229,3 +198,19 @@ class RandomForestModel(BlackBoxModel):
 
     def predict_labels(self, rows: np.ndarray) -> np.ndarray:
         return (self.predict_scores(rows) >= 0.5).astype(np.int64)
+
+
+class DecisionTreeModel(RandomForestModel):
+    """Single fully grown Gini tree: the forest of one tree on every row,
+    every feature a split candidate; only the growth limits are settable."""
+
+    descriptor = "dt"
+
+    def __init__(self, min_samples_split: int = 2, max_depth: int | None = None):
+        super().__init__(
+            n_trees=1,
+            bootstrap=False,
+            max_features=None,
+            min_samples_split=min_samples_split,
+            max_depth=max_depth,
+        )

@@ -8,6 +8,7 @@ opposite-class training examples, all in original feature units.
 from __future__ import annotations
 
 import json
+import math
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -86,6 +87,15 @@ def build_report(
     }
 
 
+def _finite(value) -> bool:
+    """No NaN or infinity anywhere inside a decoded JSON value."""
+    if isinstance(value, dict):
+        return all(map(_finite, value.values()))
+    if isinstance(value, list):
+        return all(map(_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def _check_fields(obj: dict, spec: dict, where: str) -> None:
     unknown = set(obj) - set(spec)
     if unknown:
@@ -105,7 +115,7 @@ def _check_fields(obj: dict, spec: dict, where: str) -> None:
 
 
 def validate_report(report: dict) -> dict:
-    """Strict schema check; unknown fields are rejected."""
+    """Strict schema check; rejects unknown fields and non-finite numbers."""
     if not isinstance(report, dict):
         raise DataError("report must be a JSON object")
     _check_fields(report, _TOP_LEVEL_FIELDS, "report")
@@ -129,13 +139,19 @@ def validate_report(report: dict) -> dict:
     for flag in report["flags"]:
         if not isinstance(flag, str):
             raise DataError("flags must be strings")
+    if not _finite(report):
+        raise DataError("report holds a non-finite number")
     return report
 
 
 def write_report(report: dict, path: str) -> None:
+    """Serialize first, so a non-finite number leaves no file behind."""
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise DataError(f"report is not valid JSON: {exc}") from None
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_report(path: str) -> dict:

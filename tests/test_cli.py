@@ -91,6 +91,13 @@ class TestExplain:
         )
         assert code == 3
 
+    def test_non_finite_instance_exit_5_without_report(self, tmp_path):
+        out = tmp_path / "report.json"
+        code = run(["explain", "--train", "ad", "--model", "lr",
+                    "--instance", '{"x1": NaN, "x2": 1.0}', "--out", out])
+        assert code == 5
+        assert not out.exists()
+
     def test_missing_train_file_exit_3(self, tmp_path):
         code = run(["explain", "--train", tmp_path / "nope.csv", "--model", "knn",
                     "--instance", 0, "--seed", 1, "--out", tmp_path / "r.json"])

@@ -10,7 +10,6 @@ from leafage.core import (
     LocalSurrogate,
     closest_enemy,
     dissimilarities,
-    dissimilarity,
     explain,
     feature_importances,
     fit_local_linear,
@@ -100,7 +99,7 @@ class TestSampler:
         with pytest.raises(ExplanationError):
             LeafageConfig(i_small=1)
         with pytest.raises(ExplanationError):
-            LeafageConfig(distance="manhattan")
+            LeafageConfig(k_examples=0)
 
 
 class TestLocalFit:
@@ -151,33 +150,37 @@ class TestLocalFit:
 
 class TestDissimilarity:
     def test_t_equals_z(self):
-        assert dissimilarity(surrogate([1.0, 2.0]), np.zeros(2), np.zeros(2)) == 0.0
+        b = dissimilarities(surrogate([1.0, 2.0]), np.zeros(2), np.zeros((1, 2)))
+        assert b.tolist() == [0.0]
 
     def test_orthogonal_displacement_is_zero(self):
         # documented pseudometric behaviour: t != z but b = 0
         s = surrogate([1.0, 0.0])
-        assert dissimilarity(s, np.zeros(2), np.array([0.0, 5.0])) == 0.0
+        assert dissimilarities(s, np.zeros(2), np.array([[0.0, 5.0]])).tolist() == [0.0]
 
     def test_hand_evaluated_product(self):
         s = surrogate([1.0, 0.0])
-        assert dissimilarity(s, np.zeros(2), np.array([2.0, 0.0])) == pytest.approx(4.0)
+        b = dissimilarities(s, np.zeros(2), np.array([[2.0, 0.0]]))
+        assert b[0] == pytest.approx(4.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ExplanationError, match="dimension"):
-            dissimilarity(surrogate([1.0, 0.0]), np.zeros(2), np.zeros(3))
+            dissimilarities(surrogate([1.0, 0.0]), np.zeros(2), np.zeros((1, 3)))
 
     def test_degenerate_falls_back_to_euclidean(self):
         s = surrogate([0.0, 0.0], degenerate=True)
-        assert dissimilarity(s, np.zeros(2), np.array([3.0, 4.0])) == pytest.approx(5.0)
+        b = dissimilarities(s, np.zeros(2), np.array([[3.0, 4.0]]))
+        assert b[0] == pytest.approx(5.0)
 
     def test_vectorized_matches_scalar(self):
+        # each row of a batch scores as it does alone
         rng = np.random.default_rng(7)
         s = surrogate(rng.normal(size=4))
         z = rng.normal(size=4)
         rows = rng.normal(size=(20, 4))
         bulk = dissimilarities(s, z, rows)
         for i in range(20):
-            assert bulk[i] == pytest.approx(dissimilarity(s, z, rows[i]))
+            assert bulk[i] == pytest.approx(dissimilarities(s, z, rows[i : i + 1])[0])
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=200, deadline=None)
@@ -187,8 +190,9 @@ class TestDissimilarity:
         s = surrogate(rng.normal(size=d))
         z = rng.normal(size=d)
         t = rng.normal(size=d)
-        assert dissimilarity(s, z, t) >= 0.0
-        assert dissimilarity(s, z, z) == 0.0
+        at_t, at_z = dissimilarities(s, z, np.vstack([t, z]))
+        assert at_t >= 0.0
+        assert at_z == 0.0
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=200, deadline=None)
@@ -199,10 +203,8 @@ class TestDissimilarity:
         s = surrogate(rng.normal(size=d))
         z = rng.normal(size=d)
         t = rng.normal(size=d)
-        reflected = 2 * z - t
-        assert dissimilarity(s, z, reflected) == pytest.approx(
-            dissimilarity(s, z, t), rel=1e-9
-        )
+        at_t, reflected = dissimilarities(s, z, np.vstack([t, 2 * z - t]))
+        assert reflected == pytest.approx(at_t, rel=1e-9)
 
     @given(
         st.integers(min_value=0, max_value=10_000),

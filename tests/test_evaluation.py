@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import blob_dataset
+from conftest import FixedLinearModel, blob_dataset
+from leafage import models
 from leafage.core import LocalSurrogate
-from leafage.data import SplitSpec, generate_artificial, train_test_split
+from leafage.data import Dataset, SplitSpec, generate_artificial, train_test_split
 from leafage.errors import DataError, NoEnemiesError
 from leafage.evaluation import (
     FidelityConfig,
@@ -322,6 +323,33 @@ class TestRunSetting:
         assert np.array_equal(
             lime_alone.per_instance_auc, everything[1].per_instance_auc, equal_nan=True
         )
+
+    def test_no_training_enemy_skips_every_strategy(self, monkeypatch):
+        # Every training row lies left of x1 = 3, where the model says 0,
+        # so test rows predicted 0 have no closest enemy among them; only
+        # the six test rows right of the boundary (predicted 1) can score.
+        rng = np.random.default_rng(0)
+        train = Dataset(
+            rng.uniform(0.0, 2.0, size=(40, 2)), np.arange(40) % 2,
+            ["x1", "x2"], ["A", "B"], name="one-sided",
+        )
+        test_rows = rng.uniform(0.0, 2.0, size=(30, 2))
+        test_rows[:6, 0] += 4.0
+        test = Dataset(test_rows, np.arange(30) % 2, ["x1", "x2"], ["A", "B"])
+        scale = train.features[:, 0].std()
+        boundary = (3.0 - train.features[:, 0].mean()) / scale
+        monkeypatch.setattr(
+            models, "fit",
+            lambda *args, **kwargs: FixedLinearModel([1.0, 0.0], -boundary),
+        )
+        summaries = run_setting(
+            train, test, "lr", ("leafage", "lime", "baseline"),
+            lime_cfg=LimeConfig(n_samples=200),
+        )
+        skipped = [np.isnan(s.per_instance_auc) for s in summaries]
+        assert skipped[0][6:].all() and not skipped[0][:6].all()
+        for mask in skipped[1:]:
+            assert np.array_equal(mask, skipped[0])
 
     def test_unknown_strategy(self):
         ds = generate_artificial(20, seed=0)

@@ -1,12 +1,13 @@
 import json
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
 
 from leafage.errors import ModelError
-from leafage.models import ExternalModel, external_predict
+from leafage.models import ExternalModel
 
 SIGN_STUB = textwrap.dedent(
     """
@@ -33,22 +34,22 @@ def sign_model(tmp_path):
 
 class TestProtocol:
     def test_response_length_matches_request(self, sign_model):
-        labels = external_predict(sign_model, np.array([[1.0], [2.0]]))
+        labels = sign_model.predict_labels(np.array([[1.0], [2.0]]))
         assert labels.shape == (2,)
 
     def test_sign_stub_values(self, sign_model):
-        labels = external_predict(sign_model, np.array([[1.0], [-1.0]]))
+        labels = sign_model.predict_labels(np.array([[1.0], [-1.0]]))
         assert labels.tolist() == [1, 0]
 
     def test_batch_of_100_matches_direct_evaluation(self, sign_model):
         rows = np.random.default_rng(0).normal(size=(100, 1))
-        labels = external_predict(sign_model, rows)
+        labels = sign_model.predict_labels(rows)
         expected = (rows[:, 0] >= 0).astype(int)
         assert np.array_equal(labels, expected)
 
     def test_repeated_requests_on_one_handle(self, sign_model):
         for _ in range(5):
-            labels = external_predict(sign_model, np.array([[3.0]]))
+            labels = sign_model.predict_labels(np.array([[3.0]]))
             assert labels.tolist() == [1]
 
 
@@ -96,6 +97,33 @@ class TestFailureModes:
         ) as model:
             with pytest.raises(ModelError, match="timed out"):
                 model.predict_labels(np.array([[1.0]]))
+
+    def test_late_reply_never_answers_the_next_request(self, tmp_path):
+        late_first = textwrap.dedent(
+            """
+            import json, sys, time
+            for n, line in enumerate(sys.stdin):
+                if n == 0:
+                    time.sleep(0.6)
+                labels = [1 if row[0] >= 0 else 0 for row in json.loads(line)["instances"]]
+                print(json.dumps({"labels": labels}), flush=True)
+            """
+        )
+        with ExternalModel(
+            stub_command(tmp_path, late_first), n_features=1, timeout_ms=300
+        ) as model:
+            with pytest.raises(ModelError, match="timed out"):
+                model.predict_labels(np.array([[1.0]]))
+            time.sleep(0.5)  # the late reply to [[1.0]] would be waiting now
+            with pytest.raises(ModelError, match="closed: a request timed out"):
+                model.predict_labels(np.array([[-1.0]]))
+            assert model._proc.poll() is not None
+
+    def test_request_after_close_rejected(self, tmp_path):
+        model = ExternalModel(stub_command(tmp_path, SIGN_STUB), n_features=1)
+        model.close()
+        with pytest.raises(ModelError, match="closed: close"):
+            model.predict_labels(np.array([[1.0]]))
 
     def test_launch_failure(self):
         with pytest.raises(ModelError, match="cannot launch"):

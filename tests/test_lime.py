@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ConstantModel, FixedLinearModel
-from leafage.data import generate_artificial
 from leafage.errors import ExplanationError
 from leafage.evaluation import local_fidelity
 from leafage.lime import (
     LimeConfig,
     QuartileBins,
-    default_sigma,
-    kernel_weight,
+    kernel_weights,
     lime_fit,
     lime_quartile_fit,
     lime_sample,
@@ -37,30 +35,25 @@ class TestSampling:
         with pytest.raises(ExplanationError, match="below the minimum"):
             lime_sample(2, np.zeros(2), LimeConfig(n_samples=19))
 
-    def test_accepts_dataset(self):
-        ds = generate_artificial(20, seed=0)
-        samples = lime_sample(ds, np.zeros(2), LimeConfig(n_samples=100, seed=1))
-        assert samples.shape == (100, 2)
-
 
 class TestKernel:
     def test_at_center(self):
-        assert kernel_weight(np.zeros(3), np.zeros(3), 1.5) == 1.0
+        assert kernel_weights(np.zeros(3), np.zeros((1, 3)), 1.5).tolist() == [1.0]
 
     def test_at_sigma(self):
         # ||x - z|| = sigma gives exactly e^-1
         z = np.zeros(2)
-        x = np.array([1.5, 0.0])
-        assert kernel_weight(z, x, 1.5) == pytest.approx(math.exp(-1), abs=1e-12)
-        assert kernel_weight(z, x, 1.5) == pytest.approx(0.36788, abs=5e-6)
+        (w,) = kernel_weights(z, np.array([[1.5, 0.0]]), 1.5)
+        assert w == pytest.approx(math.exp(-1), abs=1e-12)
+        assert w == pytest.approx(0.36788, abs=5e-6)
 
     def test_default_sigma_d4(self):
-        assert default_sigma(4) == pytest.approx(1.5)
         assert LimeConfig().resolve_sigma(4) == pytest.approx(1.5)
+        assert LimeConfig(sigma=2.0).resolve_sigma(4) == 2.0
 
     def test_sigma_validation(self):
         with pytest.raises(ExplanationError):
-            kernel_weight(np.zeros(2), np.ones(2), 0.0)
+            LimeConfig(sigma=0.0)
         with pytest.raises(ExplanationError):
             LimeConfig(sigma=-1.0)
 
@@ -73,8 +66,7 @@ class TestKernel:
     def test_monotone_decreasing_in_distance(self, r1, r2, sigma):
         z = np.zeros(2)
         near, far = sorted([r1, r2])
-        w_near = kernel_weight(z, np.array([near, 0.0]), sigma)
-        w_far = kernel_weight(z, np.array([far, 0.0]), sigma)
+        w_near, w_far = kernel_weights(z, np.array([[near, 0.0], [far, 0.0]]), sigma)
         assert w_near >= w_far
         # mathematically in (0, 1]; float underflow can reach exactly 0
         assert 0.0 <= w_far <= 1.0

@@ -14,7 +14,6 @@ from leafage.models import (
     LogisticRegressionModel,
     RandomForestModel,
     fit,
-    predict_labels,
 )
 
 
@@ -163,10 +162,13 @@ class TestFitFactory:
 class TestPredictContract:
     def test_empty_batch(self):
         ds = generate_artificial(10, seed=0)
-        model = fit("knn", ds)
-        out = predict_labels(model, np.empty((0, 2)))
-        assert out.shape == (0,)
-        assert out.dtype == np.int64
+        for algorithm in models.CANONICAL_ALGORITHMS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                model = fit(algorithm, ds)
+            out = model.predict_labels(np.empty((0, 2)))
+            assert out.shape == (0,), algorithm
+            assert out.dtype == np.int64, algorithm
 
     def test_repeat_calls_identical(self):
         ds = generate_artificial(40, seed=0)

@@ -84,6 +84,16 @@ class TestReportDocument:
         with pytest.raises(DataError, match="permutation"):
             validate_report(report)
 
+    def test_non_finite_importance_rejected(self, tmp_path):
+        report = reference_report()
+        report["importances"][0]["importance"] = float("nan")
+        with pytest.raises(DataError, match="finite"):
+            validate_report(report)
+        path = tmp_path / "report.json"
+        with pytest.raises(DataError, match="not valid JSON"):
+            write_report(report, str(path))
+        assert not path.exists()
+
     def test_wrong_schema_version(self):
         report = reference_report()
         report["schema_version"] = 99
