@@ -9,14 +9,18 @@ Labels are binary codes 0/1.  A handle owns its child process: requests
 are serialized (one in flight at a time) and responses are matched to
 requests by order.  A request that times out kills the child, since its
 late reply would otherwise answer the next request; the handle is then
-closed and every later request raises.
+closed and every later request raises.  The child's stderr goes to an
+anonymous temporary file; when the child stops answering, the last 2 KB
+of it are appended to the error.
 """
 from __future__ import annotations
 
 import json
+import os
 import queue
 import shlex
 import subprocess
+import tempfile
 import threading
 
 import numpy as np
@@ -25,6 +29,7 @@ from ..errors import ModelError
 from .base import BlackBoxModel, check_matrix
 
 _EOF = object()
+_STDERR_TAIL = 2048
 
 
 class ExternalModel(BlackBoxModel):
@@ -41,15 +46,19 @@ class ExternalModel(BlackBoxModel):
         self.n_features = n_features
         self.timeout_ms = timeout_ms
         argv = shlex.split(command) if isinstance(command, str) else list(command)
+        # A file, not a pipe: the child can never block on a full stderr
+        # and no reader thread is needed.
+        self._stderr = tempfile.TemporaryFile(buffering=0)
         try:
             self._proc = subprocess.Popen(
                 argv,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
+                stderr=self._stderr,
                 text=True,
             )
         except OSError as exc:
+            self._stderr.close()
             raise ModelError(f"cannot launch external model {argv!r}: {exc}") from None
         self._lines: queue.Queue = queue.Queue()
         self._reader = threading.Thread(target=self._pump, daemon=True)
@@ -61,6 +70,16 @@ class ExternalModel(BlackBoxModel):
         for line in self._proc.stdout:
             self._lines.put(line)
         self._lines.put(_EOF)
+
+    def _failure(self, message: str) -> ModelError:
+        """``message`` plus the last bytes the child wrote to stderr."""
+        fd = self._stderr.fileno()
+        start = max(0, os.fstat(fd).st_size - _STDERR_TAIL)
+        # pread leaves the offset the child shares with this descriptor alone.
+        tail = os.pread(fd, _STDERR_TAIL, start).decode(errors="replace")
+        if tail.strip():
+            message += f"; stderr tail:\n{tail.rstrip()}"
+        return ModelError(message)
 
     def predict_labels(self, rows: np.ndarray) -> np.ndarray:
         rows = check_matrix(rows, self.n_features)
@@ -74,16 +93,18 @@ class ExternalModel(BlackBoxModel):
                 self._proc.stdin.write(request + "\n")
                 self._proc.stdin.flush()
             except (BrokenPipeError, OSError):
-                raise ModelError("external model process is not accepting requests")
+                raise self._failure(
+                    "external model process is not accepting requests"
+                ) from None
             try:
                 line = self._lines.get(timeout=self.timeout_ms / 1000.0)
             except queue.Empty:
                 self._proc.kill()
                 self._proc.wait()
                 self._closed_because = f"a request timed out after {self.timeout_ms} ms"
-                raise ModelError(f"external model: {self._closed_because}") from None
-        if line is _EOF:
-            raise ModelError("external model process exited mid-request")
+                raise self._failure(f"external model: {self._closed_because}") from None
+            if line is _EOF:
+                raise self._failure("external model process exited mid-request")
         try:
             payload = json.loads(line)
         except json.JSONDecodeError:
@@ -112,6 +133,7 @@ class ExternalModel(BlackBoxModel):
         self._reader.join(timeout=2)
         if not self._reader.is_alive():
             self._proc.stdout.close()
+        self._stderr.close()
 
     def __enter__(self) -> "ExternalModel":
         return self

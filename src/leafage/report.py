@@ -96,6 +96,16 @@ def _finite(value) -> bool:
     return not isinstance(value, float) or math.isfinite(value)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_feature_values(features: dict, where: str) -> None:
+    for key, value in features.items():
+        if not _is_number(value):
+            raise DataError(f"{where}: feature {key!r} must be a number")
+
+
 def _check_fields(obj: dict, spec: dict, where: str) -> None:
     unknown = set(obj) - set(spec)
     if unknown:
@@ -105,7 +115,7 @@ def _check_fields(obj: dict, spec: dict, where: str) -> None:
             raise DataError(f"{where}: missing field {key!r}")
         value = obj[key]
         if kind is float:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
+            if not _is_number(value):
                 raise DataError(f"{where}: field {key!r} must be a number")
         elif kind is int:
             if not isinstance(value, int) or isinstance(value, bool):
@@ -124,7 +134,9 @@ def validate_report(report: dict) -> dict:
             f"unsupported schema_version {report['schema_version']}, "
             f"expected {SCHEMA_VERSION}"
         )
-    d = len(report["instance"])
+    instance = report["instance"]
+    _check_feature_values(instance, "instance")
+    d = len(instance)
     if len(report["importances"]) != d:
         raise DataError("importances must cover every instance feature")
     ranks = []
@@ -136,6 +148,9 @@ def validate_report(report: dict) -> dict:
     for section in ("allies", "enemies"):
         for entry in report[section]:
             _check_fields(entry, _EXAMPLE_FIELDS, f"{section} entry")
+            if entry["features"].keys() != instance.keys():
+                raise DataError(f"{section} entry: features must match the instance's")
+            _check_feature_values(entry["features"], f"{section} entry")
     for flag in report["flags"]:
         if not isinstance(flag, str):
             raise DataError("flags must be strings")

@@ -220,6 +220,17 @@ class TestRender:
         report.write_text(json.dumps(doc))
         assert run(["render", "--report", report, "--out", tmp_path / "v.svg"]) == 3
 
+    def test_render_rejects_non_numeric_feature(self, tmp_path):
+        report = tmp_path / "report.json"
+        svg = tmp_path / "v.svg"
+        run(["explain", "--train", "ad", "--model", "knn", "--instance", 2,
+             "--seed", 4, "--out", report])
+        doc = json.loads(report.read_text())
+        doc["allies"][0]["features"]["x1"] = "oops"
+        report.write_text(json.dumps(doc))
+        assert run(["render", "--report", report, "--out", svg]) == 3
+        assert not svg.exists()
+
     def test_usage_error_on_unknown_command(self):
         with pytest.raises(SystemExit) as exc:
             run(["confabulate"])

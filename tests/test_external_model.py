@@ -140,3 +140,48 @@ class TestFailureModes:
         with ExternalModel(stub_command(tmp_path, weird), n_features=1) as model:
             with pytest.raises(ModelError, match="0/1"):
                 model.predict_labels(np.array([[1.0]]))
+
+    def test_crash_reports_stderr_tail(self, tmp_path):
+        crashing = textwrap.dedent(
+            """
+            import sys
+            sys.stdin.readline()
+            raise RuntimeError("weights file missing")
+            """
+        )
+        with ExternalModel(stub_command(tmp_path, crashing), n_features=1) as model:
+            with pytest.raises(ModelError, match="exited mid-request") as exc:
+                model.predict_labels(np.array([[1.0]]))
+        assert "RuntimeError: weights file missing" in str(exc.value)
+
+    def test_timeout_reports_stderr_tail(self, tmp_path):
+        stuck = textwrap.dedent(
+            """
+            import sys, time
+            sys.stdin.readline()
+            print("loading weights", file=sys.stderr, flush=True)
+            time.sleep(30)
+            """
+        )
+        with ExternalModel(
+            stub_command(tmp_path, stuck), n_features=1, timeout_ms=500
+        ) as model:
+            with pytest.raises(ModelError, match="timed out") as exc:
+                model.predict_labels(np.array([[1.0]]))
+        assert str(exc.value).endswith("loading weights")
+
+    def test_stderr_tail_is_bounded(self, tmp_path):
+        noisy = textwrap.dedent(
+            """
+            import sys
+            sys.stdin.readline()
+            sys.stderr.write("x" * (1 << 20) + "LAST LINE")
+            sys.exit(1)
+            """
+        )
+        with ExternalModel(stub_command(tmp_path, noisy), n_features=1) as model:
+            with pytest.raises(ModelError, match="exited mid-request") as exc:
+                model.predict_labels(np.array([[1.0]]))
+        message = str(exc.value)
+        assert message.endswith("x" * 100 + "LAST LINE")
+        assert len(message) < 2048 + 100

@@ -94,6 +94,25 @@ class TestReportDocument:
             write_report(report, str(path))
         assert not path.exists()
 
+    @pytest.mark.parametrize("bad", ["oops", True, None, [1.0], {"v": 1.0}])
+    @pytest.mark.parametrize("where", ["instance", "allies", "enemies"])
+    def test_non_numeric_feature_value_rejected(self, where, bad):
+        report = reference_report()
+        features = report[where] if where == "instance" else report[where][0]["features"]
+        features["x2"] = bad
+        with pytest.raises(DataError, match="feature 'x2' must be a number"):
+            validate_report(report)
+
+    def test_example_features_must_match_instance(self):
+        report = reference_report()
+        del report["enemies"][1]["features"]["x1"]
+        with pytest.raises(DataError, match="must match the instance"):
+            validate_report(report)
+        report = reference_report()
+        report["allies"][0]["features"]["x3"] = 0.0
+        with pytest.raises(DataError, match="must match the instance"):
+            validate_report(report)
+
     def test_wrong_schema_version(self):
         report = reference_report()
         report["schema_version"] = 99
