@@ -2,9 +2,10 @@
 
 Subcommands: ``gen-ad`` (write the synthetic two-normal dataset),
 ``explain`` (one instance -> JSON report, optional SVG), ``evaluate``
-(the fidelity protocol -> CSV + text table) and ``render`` (report JSON
--> SVG).  Exit codes: 0 ok, 2 usage, 3 data, 4 model, 5 explanation.
-``LEAFAGE_SEED`` provides the seed when ``--seed`` is omitted.
+(the fidelity protocol over one or more seeds -> CSV + text table) and
+``render`` (report JSON -> SVG).  Exit codes: 0 ok, 2 usage, 3 data,
+4 model, 5 explanation.  ``LEAFAGE_SEED`` provides the seed when
+``--seed`` is omitted.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from .evaluation import (
     KNOWN_STRATEGIES,
     STRATEGIES,
     FidelityConfig,
+    FidelitySummary,
     results_table,
     run_setting,
     write_results_csv,
@@ -152,13 +154,16 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--alpha", type=float, default=0.05)
     ev.add_argument("--train-fraction", type=float, default=0.7)
     ev.add_argument("--stratified", action="store_true")
-    ev.add_argument(
-        "--sphere-rule", choices=["enemy-count", "enemy-share"], default="enemy-count"
-    )
     ev.add_argument("--i-small", type=int, default=10)
     ev.add_argument("--lime-samples", type=int, default=5000)
     ev.add_argument("--n-per-class", type=int, default=DEFAULT_N_PER_CLASS)
-    ev.add_argument("--seed", type=int, default=None)
+    ev.add_argument(
+        "--seed",
+        type=int,
+        nargs="+",
+        default=None,
+        help="one or more distinct seeds, their per-instance AUCs pooled",
+    )
     ev.add_argument("--out", required=True, help="results CSV path")
     ev.add_argument("--table", default=None, help="text table path (default stdout)")
 
@@ -198,25 +203,32 @@ def _binary_variants(ds: Dataset) -> list[Dataset]:
     return [one_vs_rest(ds, name) for name in ds.class_names]
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
+def cmd_evaluate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    seeds = args.seed or [_resolve_seed(None)]
+    if len(set(seeds)) != len(seeds):
+        parser.error(f"--seed values must be distinct, got {seeds}")
+    if not 0.0 < args.alpha < 1.0:
+        raise DataError("alpha must lie strictly between 0 and 1")
     classifiers = _comma_list(args.classifiers)
     strategies = tuple(_comma_list(args.strategies))
-    leafage_cfg = LeafageConfig(i_small=args.i_small, seed=seed)
-    lime_cfg = LimeConfig(n_samples=args.lime_samples, seed=seed)
-    fidelity_cfg = FidelityConfig(p=args.p, seed=seed, sphere_rule=args.sphere_rule)
-    split = SplitSpec(
-        train_fraction=args.train_fraction, seed=seed, stratified=args.stratified
-    )
 
-    summaries = []
-    for token in _comma_list(args.datasets):
-        ds = _load_dataset(token, args.label_column, args.n_per_class, seed)
-        for binary in _binary_variants(ds):
-            train, test = train_test_split(binary, split)
-            for classifier in classifiers:
-                summaries.extend(
-                    run_setting(
+    # Each setting's per-instance AUCs, concatenated in seed order.  Skips
+    # are shared by all strategies within a seed, so the pooled vectors of
+    # one setting stay aligned for the paired significance test.
+    pooled: dict[tuple[str, str, str, str], list[np.ndarray]] = {}
+    for seed in seeds:
+        leafage_cfg = LeafageConfig(i_small=args.i_small, seed=seed)
+        lime_cfg = LimeConfig(n_samples=args.lime_samples, seed=seed)
+        fidelity_cfg = FidelityConfig(p=args.p, seed=seed)
+        split = SplitSpec(
+            train_fraction=args.train_fraction, seed=seed, stratified=args.stratified
+        )
+        for token in _comma_list(args.datasets):
+            ds = _load_dataset(token, args.label_column, args.n_per_class, seed)
+            for binary in _binary_variants(ds):
+                train, test = train_test_split(binary, split)
+                for classifier in classifiers:
+                    for summary in run_setting(
                         train,
                         test,
                         classifier,
@@ -225,8 +237,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                         lime_cfg=lime_cfg,
                         fidelity_cfg=fidelity_cfg,
                         model_seed=seed,
-                    )
-                )
+                    ):
+                        pooled.setdefault(summary.setting, []).append(
+                            summary.per_instance_auc
+                        )
+    summaries = [
+        FidelitySummary.from_scores(setting, np.concatenate(parts))
+        for setting, parts in pooled.items()
+    ]
     write_results_csv(summaries, args.out, alpha=args.alpha)
     table = results_table(summaries, alpha=args.alpha)
     if args.table:
@@ -255,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "explain":
             return cmd_explain(parser, args)
         if args.command == "evaluate":
-            return cmd_evaluate(args)
+            return cmd_evaluate(parser, args)
         return cmd_render(args)
     except DataError as exc:
         print(f"leafage: data error: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, Standardizer
-from .errors import ExplanationError, NoEnemiesError
+from .errors import DataError, ExplanationError, NoEnemiesError
 
 __all__ = [
     "LeafageConfig",
@@ -320,8 +320,13 @@ def explain(
 
     Pure function of immutable inputs: explanations for different
     instances may run in parallel against a shared model and dataset.
-    A non-finite ``z`` is rejected.
+    A non-finite ``z`` and a training set that is not binary are rejected.
     """
+    if len(train.class_names) != 2:
+        raise DataError(
+            f"explain requires a binary dataset, got {len(train.class_names)} "
+            "classes; expand it one-vs-rest (data.one_vs_rest)"
+        )
     cfg = cfg or LeafageConfig()
     standardizer = standardizer or Standardizer.fit(train.features)
     z = np.asarray(z, dtype=np.float64)

@@ -55,17 +55,14 @@ WILCOXON_EXACT_LIMIT = 25
 
 @dataclass(frozen=True)
 class FidelityConfig:
-    """Sphere inclusion fraction and rule."""
+    """Sphere inclusion fraction."""
 
     p: float = 0.95
     seed: int = 0
-    sphere_rule: str = "enemy-count"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.p < 1.0:
             raise DataError("p must lie strictly between 0 and 1")
-        if self.sphere_rule not in ("enemy-count", "enemy-share"):
-            raise DataError("sphere_rule must be 'enemy-count' or 'enemy-share'")
 
 
 @dataclass
@@ -214,19 +211,13 @@ def wilcoxon_signed_rank(a: np.ndarray, b: np.ndarray) -> WilcoxonResult:
 
 
 def fidelity_sphere(
-    features: np.ndarray,
-    predicted: np.ndarray,
-    z_index: int,
-    p: float,
-    rule: str = "enemy-count",
+    features: np.ndarray, predicted: np.ndarray, z_index: int, p: float
 ) -> np.ndarray:
     """Indices of test rows inside the per-instance evaluation ball.
 
-    Default rule: the radius reaches the ceil(p * n_enemy)-th nearest row
-    whose predicted label differs from the centre's.  The alternative
-    'enemy-share' rule grows the ball until the fraction of enemies among
-    included rows reaches p (falling back to all rows when unattainable).
-    The centre itself is excluded; the ball is closed.
+    The radius reaches the ceil(p * n_enemy)-th nearest row whose
+    predicted label differs from the centre's.  The centre itself is
+    excluded; the ball is closed.
     """
     predicted = np.asarray(predicted)
     z = features[z_index]
@@ -237,16 +228,8 @@ def fidelity_sphere(
     n_enemy = int(enemy.sum())
     if n_enemy == 0:
         raise NoEnemiesError("no test instance has the opposite predicted label")
-    if rule == "enemy-count":
-        enemy_dist = np.sort(dist[enemy])
-        radius = enemy_dist[math.ceil(p * n_enemy) - 1]
-    elif rule == "enemy-share":
-        order = np.flatnonzero(others)[np.argsort(dist[others], kind="stable")]
-        share = np.cumsum(enemy[order]) / np.arange(1, order.size + 1)
-        reached = np.flatnonzero(share >= p)
-        radius = dist[order[reached[0]]] if reached.size else dist[order[-1]]
-    else:
-        raise DataError(f"unknown sphere rule {rule!r}")
+    enemy_dist = np.sort(dist[enemy])
+    radius = enemy_dist[math.ceil(p * n_enemy) - 1]
     return np.flatnonzero((dist <= radius) & others)
 
 
@@ -315,9 +298,7 @@ def run_setting(
     scores = {s: np.full(test.n, np.nan) for s in strategies}
     for i in range(test.n):
         try:
-            sphere = fidelity_sphere(
-                X_test, pred_test, i, fidelity_cfg.p, fidelity_cfg.sphere_rule
-            )
+            sphere = fidelity_sphere(X_test, pred_test, i, fidelity_cfg.p)
         except NoEnemiesError:
             continue
         sphere_rows = X_test[sphere]

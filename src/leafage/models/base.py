@@ -47,5 +47,11 @@ def check_training_set(features: np.ndarray, labels: np.ndarray) -> None:
     labels = np.asarray(labels)
     if features.shape[0] < 2:
         raise ModelError("need at least 2 training rows")
-    if np.unique(labels).size < 2:
+    codes = np.unique(labels)
+    if not np.isin(codes, (0, 1)).all():
+        raise ModelError(
+            f"labels must be the binary codes 0 and 1, got {codes.tolist()}; "
+            "expand a multiclass dataset one-vs-rest (data.one_vs_rest)"
+        )
+    if codes.size < 2:
         raise ModelError("training set contains a single class")

@@ -1,14 +1,30 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
+from leafage import cli
 from leafage.cli import main
 from leafage.report import load_report
 
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def three_class_csv(path):
+    rng = np.random.default_rng(0)
+    rows = ["a,b,label"]
+    for i in range(60):
+        rows.append(f"{rng.normal()},{rng.normal()},{['x','y','z'][i % 3]}")
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+def read_results(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 class TestGenAd:
@@ -119,6 +135,15 @@ class TestExplain:
         assert report["dataset"] == str(csv)
         assert list(report["instance"]) == ["a", "b"]
 
+    @pytest.mark.parametrize("model", ["knn", "lr"])
+    def test_three_class_csv_exit_4_without_report(self, tmp_path, model):
+        csv_path = three_class_csv(tmp_path / "three.csv")
+        out = tmp_path / "r.json"
+        code = run(["explain", "--train", csv_path, "--model", model,
+                    "--instance", 2, "--seed", 1, "--out", out])
+        assert code == 4
+        assert not out.exists()
+
     def test_deterministic_report_bytes(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -159,15 +184,10 @@ class TestEvaluate:
         assert ta.read_bytes() == tb.read_bytes()
 
     def test_one_vs_rest_expansion(self, tmp_path):
-        csv = tmp_path / "three.csv"
-        rng = np.random.default_rng(0)
-        rows = ["a,b,label"]
-        for i in range(60):
-            rows.append(f"{rng.normal()},{rng.normal()},{['x','y','z'][i % 3]}")
-        csv.write_text("\n".join(rows) + "\n")
+        csv_path = three_class_csv(tmp_path / "three.csv")
         out = tmp_path / "results.csv"
         code = run(
-            ["evaluate", "--datasets", csv, "--label-column", "label",
+            ["evaluate", "--datasets", csv_path, "--label-column", "label",
              "--classifiers", "knn", "--strategies", "baseline",
              "--seed", 0, "--out", out]
         )
@@ -200,6 +220,86 @@ class TestEvaluate:
              "--seed", 1, "--out", tmp_path / "r.csv"])
         captured = capsys.readouterr()
         assert "50.0 (0.0)" in captured.out
+
+
+class TestEvaluateSeeds:
+    ARGS = ["evaluate", "--datasets", "ad", "--n-per-class", 30,
+            "--classifiers", "lr,knn", "--strategies", "leafage,lime,baseline",
+            "--lime-samples", 200]
+
+    def test_pooled_over_seeds(self, tmp_path, monkeypatch):
+        run_setting = cli.run_setting
+        write_results_csv = cli.write_results_csv
+        per_call = []
+        pooled = []
+
+        def recording_run_setting(train, test, *args, **kwargs):
+            summaries = run_setting(train, test, *args, **kwargs)
+            per_call.append((test.n, summaries))
+            return summaries
+
+        def recording_write(summaries, path, alpha):
+            pooled.extend(summaries)
+            return write_results_csv(summaries, path, alpha=alpha)
+
+        monkeypatch.setattr(cli, "run_setting", recording_run_setting)
+        monkeypatch.setattr(cli, "write_results_csv", recording_write)
+        out = tmp_path / "r.csv"
+        assert run(self.ARGS + ["--seed", 0, 1, 2, "--out", out]) == 0
+        rows = read_results(out)
+        assert len(rows) == len(pooled) == 6
+        assert len(per_call) == 2 * 3  # two classifiers, three seeds
+
+        for row, summary in zip(rows, pooled):
+            setting = summary.setting
+            calls = [(n, s) for n, ss in per_call for s in ss if s.setting == setting]
+            assert len(calls) == 3
+            assert int(row["n"]) + int(row["n_skipped"]) == sum(n for n, _ in calls)
+            vector = np.concatenate([s.per_instance_auc for _, s in calls])
+            np.testing.assert_array_equal(summary.per_instance_auc, vector)
+            assert float(row["mean_auc"]) == vector[~np.isnan(vector)].mean()
+
+        for classifier in ("lr", "knn"):
+            masks = [np.isnan(s.per_instance_auc) for s in pooled
+                     if s.setting[2] == classifier]
+            assert len(masks) == 3
+            assert all(np.array_equal(masks[0], m) for m in masks[1:])
+
+    def test_p_changes_results(self, tmp_path):
+        outs = []
+        for p in (0.5, 0.95):
+            out = tmp_path / f"p{p}.csv"
+            assert run(self.ARGS + ["--seed", 0, "--p", p, "--out", out]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] != outs[1]
+
+    def test_env_seed_fallback(self, tmp_path, monkeypatch):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        args = self.ARGS[:7] + ["--strategies", "leafage"]
+        assert run(args + ["--seed", 4, "--out", a]) == 0
+        monkeypatch.setenv("LEAFAGE_SEED", "4")
+        assert run(args + ["--out", b]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_duplicate_seeds_usage_error(self, tmp_path):
+        out = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(self.ARGS + ["--seed", 1, 1, "--out", out])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alpha", [0, 1, 1.5, -0.1])
+    def test_alpha_outside_open_unit_interval_exit_3(self, tmp_path, monkeypatch,
+                                                     alpha):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("run_setting called before --alpha was checked")
+
+        monkeypatch.setattr(cli, "run_setting", must_not_run)
+        out = tmp_path / "r.csv"
+        code = run(self.ARGS + ["--seed", 0, "--alpha", alpha, "--out", out])
+        assert code == 3
+        assert not out.exists()
 
 
 class TestRender:

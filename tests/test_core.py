@@ -18,7 +18,7 @@ from leafage.core import (
     weighted_logistic_fit,
 )
 from leafage.data import Dataset, Standardizer, generate_artificial
-from leafage.errors import ExplanationError, NoEnemiesError
+from leafage.errors import DataError, ExplanationError, NoEnemiesError
 
 
 def surrogate(w, c=0.0, degenerate=False):
@@ -371,6 +371,12 @@ class TestExplain:
         assert [x.index for x in a.allies] == [x.index for x in b.allies]
         assert [x.index for x in a.enemies] == [x.index for x in b.enemies]
         assert np.array_equal(a.surrogate.weights, b.surrogate.weights)
+
+    def test_three_class_dataset_rejected(self):
+        X = np.random.default_rng(0).normal(size=(30, 2))
+        ds = Dataset(X, np.arange(30) % 3, ["x1", "x2"], ["x", "y", "z"])
+        with pytest.raises(DataError, match="binary"):
+            explain(FixedLinearModel([1.0, 0.0]), ds, X[2])
 
     def test_no_enemy_propagates(self):
         from conftest import ConstantModel

@@ -245,15 +245,6 @@ class TestFidelitySphere:
         assert np.any(predicted[sphere] != predicted[z])
         assert z not in sphere
 
-    def test_enemy_share_rule(self):
-        features, predicted = self.line_geometry()
-        sphere = fidelity_sphere(features, predicted, 0, 0.6, rule="enemy-share")
-        inside = predicted[sphere]
-        assert (inside == 0).mean() >= 0.6
-        # unattainable share falls back to every other row
-        sphere_all = fidelity_sphere(features, predicted, 0, 0.99, rule="enemy-share")
-        assert len(sphere_all) == len(features) - 1
-
 
 class TestLocalFidelity:
     def test_perfect_ranking(self):

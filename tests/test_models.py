@@ -263,6 +263,14 @@ class TestFitFactory:
         with pytest.raises(ModelError, match="single class"):
             fit("lr", ds)
 
+    @pytest.mark.parametrize("algorithm", models.CANONICAL_ALGORITHMS)
+    def test_three_class_labels_rejected(self, algorithm):
+        X = np.random.default_rng(0).normal(size=(30, 2))
+        y = np.arange(30) % 3
+        ds = Dataset(X, y, ["a", "b"], ["x", "y", "z"])
+        with pytest.raises(ModelError, match="one-vs-rest"):
+            fit(algorithm, ds)
+
     def test_hyperparams_forwarded(self):
         ds = generate_artificial(50, seed=0)
         model = fit("rf", ds, {"n_trees": 3})
