@@ -38,7 +38,7 @@ from .evaluation import (
     write_results_csv,
 )
 from .lime import LimeConfig
-from .report import build_report, load_report, render_svg, write_report
+from .report import build_report, is_number, load_report, render_svg, write_report
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -97,12 +97,13 @@ def _parse_instance(
             f"instance features do not match dataset columns "
             f"(missing {missing}, unknown {extra})"
         )
+    values = [mapping[c] for c in ds.column_names]
+    if not all(map(is_number, values)):
+        raise DataError("instance feature values must be numbers")
     try:
-        return np.array(
-            [float(mapping[c]) for c in ds.column_names], dtype=np.float64
-        )
-    except (TypeError, ValueError):
-        raise DataError("instance feature values must be numbers") from None
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        raise DataError("instance feature values must fit in a double") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,12 +206,26 @@ def _binary_variants(ds: Dataset) -> list[Dataset]:
 
 def cmd_evaluate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     seeds = args.seed or [_resolve_seed(None)]
-    if len(set(seeds)) != len(seeds):
-        parser.error(f"--seed values must be distinct, got {seeds}")
-    if not 0.0 < args.alpha < 1.0:
-        raise DataError("alpha must lie strictly between 0 and 1")
+    datasets = _comma_list(args.datasets)
     classifiers = _comma_list(args.classifiers)
     strategies = tuple(_comma_list(args.strategies))
+    # A repeated value would pool its instances twice.
+    for option, values in (
+        ("--seed", seeds),
+        ("--datasets", datasets),
+        ("--classifiers", classifiers),
+        ("--strategies", strategies),
+    ):
+        if len(set(values)) != len(values):
+            parser.error(f"{option} values must be distinct, got {list(values)}")
+    unknown = [c for c in classifiers if c not in models.ALGORITHMS]
+    if unknown:
+        raise ModelError(
+            f"unknown classifier {unknown[0]!r}; "
+            f"choose from {models.CANONICAL_ALGORITHMS}"
+        )
+    if not 0.0 < args.alpha < 1.0:
+        raise DataError("alpha must lie strictly between 0 and 1")
 
     # Each setting's per-instance AUCs, concatenated in seed order.  Skips
     # are shared by all strategies within a seed, so the pooled vectors of
@@ -223,7 +238,7 @@ def cmd_evaluate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         split = SplitSpec(
             train_fraction=args.train_fraction, seed=seed, stratified=args.stratified
         )
-        for token in _comma_list(args.datasets):
+        for token in datasets:
             ds = _load_dataset(token, args.label_column, args.n_per_class, seed)
             for binary in _binary_variants(ds):
                 train, test = train_test_split(binary, split)

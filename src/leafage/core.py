@@ -35,6 +35,11 @@ __all__ = [
 ]
 
 DEGENERATE_WEIGHT_NORM = 1e-12
+# Ridge penalty, Newton iteration cap and step tolerance of
+# weighted_logistic_fit.
+SURROGATE_L2 = 1e-4
+SURROGATE_MAX_ITER = 100
+SURROGATE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -148,9 +153,6 @@ def weighted_logistic_fit(
     features: np.ndarray,
     targets: np.ndarray,
     sample_weight: np.ndarray | None = None,
-    l2: float = 1e-4,
-    max_iter: int = 100,
-    tol: float = 1e-8,
 ) -> tuple[np.ndarray, float]:
     """Ridge-regularized logistic fit by damped Newton iterations.
 
@@ -163,16 +165,16 @@ def weighted_logistic_fit(
     n, d = X.shape
     sw = np.ones(n) if sample_weight is None else np.asarray(sample_weight, float)
     Xa = np.hstack([X, np.ones((n, 1))])
-    penalty = np.full(d + 1, l2)
+    penalty = np.full(d + 1, SURROGATE_L2)
     penalty[d] = 0.0
     beta = np.zeros(d + 1)
 
     def loss(b: np.ndarray) -> float:
         z_lin = Xa @ b
-        return float(sw @ _stable_nll(z_lin, y) + 0.5 * l2 * (b[:d] @ b[:d]))
+        return float(sw @ _stable_nll(z_lin, y) + 0.5 * SURROGATE_L2 * (b[:d] @ b[:d]))
 
     current = loss(beta)
-    for _ in range(max_iter):
+    for _ in range(SURROGATE_MAX_ITER):
         z_lin = np.clip(Xa @ beta, -35.0, 35.0)
         p = 1.0 / (1.0 + np.exp(-z_lin))
         grad = Xa.T @ (sw * (p - y)) + penalty * beta
@@ -195,7 +197,7 @@ def weighted_logistic_fit(
         moved = scale * np.max(np.abs(step))
         beta = candidate
         current = new
-        if moved < tol:
+        if moved < SURROGATE_TOL:
             break
     return beta[:d], float(beta[d])
 

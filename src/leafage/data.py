@@ -202,11 +202,11 @@ def load_csv(path: str, label_column: str, name: str = "") -> Dataset:
     )
 
 
-def save_csv(ds: Dataset, path: str, label_column: str = "label") -> None:
-    """Write a Dataset back to CSV (features then label column)."""
+def save_csv(ds: Dataset, path: str) -> None:
+    """Write a Dataset back to CSV: the features, then a ``label`` column."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(ds.column_names) + [label_column])
+        writer.writerow(list(ds.column_names) + ["label"])
         for row, label in zip(ds.features, ds.labels):
             writer.writerow([repr(float(v)) for v in row] + [ds.class_names[label]])
 

@@ -26,6 +26,7 @@ from .errors import ExplanationError
 
 __all__ = [
     "LimeConfig",
+    "kernel_width",
     "lime_sample",
     "kernel_weights",
     "lime_fit",
@@ -40,23 +41,17 @@ __all__ = [
 TRUNCATED_NORMAL_ROUNDS = 64
 
 
+def kernel_width(d: int) -> float:
+    """The conventional kernel width 0.75 * sqrt(d) for ``d`` features."""
+    return 0.75 * math.sqrt(d)
+
+
 @dataclass(frozen=True)
 class LimeConfig:
-    """Sampling size, kernel width and seed.
-
-    ``sigma=None`` resolves to the conventional 0.75 * sqrt(d) at use.
-    """
+    """Sampling size and seed."""
 
     n_samples: int = 5000
-    sigma: float | None = None
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.sigma is not None and self.sigma <= 0:
-            raise ExplanationError("sigma must be positive")
-
-    def resolve_sigma(self, d: int) -> float:
-        return self.sigma if self.sigma is not None else 0.75 * math.sqrt(d)
 
     def check_n_samples(self, d: int) -> None:
         if self.n_samples < 10 * d:
@@ -118,7 +113,7 @@ def lime_fit(model, z: np.ndarray, cfg: LimeConfig) -> LocalSurrogate:
     d = z.shape[0]
     samples = lime_sample(d, z, cfg)
     weights, intercept, degenerate = _kernel_logistic_fit(
-        samples, model.predict_labels(samples), z, cfg.resolve_sigma(d)
+        samples, model.predict_labels(samples), z, kernel_width(d)
     )
     return LocalSurrogate(weights=weights, intercept=intercept, degenerate=degenerate)
 
@@ -252,7 +247,7 @@ def lime_quartile_fit(
         binary,
         model.predict_labels(samples),
         np.ones(bins.d),
-        cfg.resolve_sigma(bins.d),
+        kernel_width(bins.d),
     )
     return QuartileSurrogate(
         weights=weights,

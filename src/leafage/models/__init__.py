@@ -1,10 +1,11 @@
 """Reference classifiers behind the black-box interface.
 
 ``fit`` is the single entry point used by the CLI and evaluation harness;
-it resolves an algorithm name, applies hyperparameter overrides and
-returns a trained model.  Trained classifiers are immutable and safe to
-share across threads for prediction; an ExternalModel handle is the one
-exception (single owner, one request in flight).
+it resolves one of the six algorithm names and returns a model trained in
+that algorithm's one fixed configuration.  Trained classifiers are
+immutable and safe to share across threads for prediction; an
+ExternalModel handle is the one exception (single owner, one request in
+flight).
 """
 from __future__ import annotations
 
@@ -36,19 +37,14 @@ __all__ = [
 
 ALGORITHMS = {
     "lr": LogisticRegressionModel,
-    "logistic_regression": LogisticRegressionModel,
     "svm": LinearSVMModel,
-    "linear_svm": LinearSVMModel,
     "lda": LDAModel,
     "dt": DecisionTreeModel,
-    "decision_tree": DecisionTreeModel,
     "rf": RandomForestModel,
-    "random_forest": RandomForestModel,
     "knn": KNearestModel,
-    "knn1": KNearestModel,
 }
 
-CANONICAL_ALGORITHMS = ("lr", "svm", "lda", "dt", "rf", "knn")
+CANONICAL_ALGORITHMS = tuple(ALGORITHMS)
 
 
 def fit(
@@ -57,17 +53,20 @@ def fit(
     hyperparams: dict | None = None,
     seed: int = 0,
 ) -> BlackBoxModel:
-    """Train one of the reference classifiers on a binary dataset."""
-    key = algorithm.lower()
-    if key not in ALGORITHMS:
+    """Train one of the reference classifiers on a binary dataset.
+
+    The classifiers take no hyperparameters; ``hyperparams`` must be empty.
+    """
+    if algorithm not in ALGORITHMS:
         raise ModelError(
             f"unknown algorithm {algorithm!r}; choose from {CANONICAL_ALGORITHMS}"
         )
-    try:
-        model = ALGORITHMS[key](**(hyperparams or {}))
-    except TypeError as exc:
-        raise ModelError(f"bad hyperparameters for {key!r}: {exc}") from None
-    return model.fit(train.features, train.labels, seed=seed)
+    if hyperparams:
+        raise ModelError(
+            f"bad hyperparameters for {algorithm!r}: {hyperparams!r}; "
+            "the reference classifiers take none"
+        )
+    return ALGORITHMS[algorithm]().fit(train.features, train.labels, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -79,14 +78,11 @@ class StandardizedModel:
 
 
 def fit_on_standardized(
-    algorithm: str,
-    train: Dataset,
-    hyperparams: dict | None = None,
-    seed: int = 0,
+    algorithm: str, train: Dataset, seed: int = 0
 ) -> StandardizedModel:
     """Fit a Standardizer on the training rows, then the classifier on the
     standardized features.  This is the pairing every pipeline step
     (explanation, fidelity scoring) expects."""
     scaler = Standardizer.fit(train.features)
-    model = fit(algorithm, standardized(train, scaler), hyperparams, seed)
+    model = fit(algorithm, standardized(train, scaler), seed=seed)
     return StandardizedModel(model=model, standardizer=scaler)

@@ -4,7 +4,8 @@ and linear discriminant analysis.
 All three expose ``weights`` and ``intercept`` so tests can check that the
 decision boundary really is the hyperplane ``weights @ x + intercept = 0``.
 Labels are binary codes {0, 1}; a row is predicted 1 iff its score is
-non-negative.
+non-negative.  Each model runs in one fixed configuration, given by the
+module constants below.
 """
 from __future__ import annotations
 
@@ -13,6 +14,17 @@ import warnings
 import numpy as np
 
 from .base import BlackBoxModel, check_matrix, check_training_set
+
+# Logistic regression: L2 penalty (divided by n), iteration cap and
+# gradient tolerance.
+LR_L2 = 1.0
+LR_MAX_ITER = 1000
+LR_TOL = 1e-6
+# Linear SVM: hinge-loss weight C and subgradient iterations.
+SVM_C = 1.0
+SVM_MAX_ITER = 2000
+# LDA: ridge added to the pooled covariance.
+LDA_RIDGE = 1e-6
 
 
 class LinearBinaryModel(BlackBoxModel):
@@ -42,38 +54,32 @@ class LogisticRegressionModel(LinearBinaryModel):
 
     descriptor = "lr"
 
-    def __init__(self, l2: float = 1.0, max_iter: int = 1000, tol: float = 1e-6):
-        super().__init__()
-        self.l2 = l2
-        self.max_iter = max_iter
-        self.tol = tol
-
     def fit(self, features: np.ndarray, labels: np.ndarray, seed: int = 0):
         check_training_set(features, labels)
         X = np.asarray(features, dtype=np.float64)
         y = np.asarray(labels, dtype=np.float64)
         n, d = X.shape
         self.n_features = d
-        lam = self.l2 / n
+        lam = LR_L2 / n
         w = np.zeros(d)
         b = 0.0
         # Gradient Lipschitz constant of the mean logistic loss.
         lip = 0.25 * (np.linalg.norm(X, 2) ** 2 / n + 1.0) + lam
         step = 1.0 / lip
         self.converged = False
-        for _ in range(self.max_iter):
+        for _ in range(LR_MAX_ITER):
             p = _sigmoid(X @ w + b)
             grad_w = X.T @ (p - y) / n + lam * w
             grad_b = float(np.mean(p - y))
             w -= step * grad_w
             b -= step * grad_b
-            if max(np.max(np.abs(grad_w)), abs(grad_b)) < self.tol:
+            if max(np.max(np.abs(grad_w)), abs(grad_b)) < LR_TOL:
                 self.converged = True
                 break
         if not self.converged:
             warnings.warn(
-                f"logistic regression did not reach tol={self.tol} within "
-                f"{self.max_iter} iterations",
+                f"logistic regression did not reach tol={LR_TOL} within "
+                f"{LR_MAX_ITER} iterations",
                 stacklevel=2,
             )
         self.weights = w
@@ -87,23 +93,18 @@ class LinearSVMModel(LinearBinaryModel):
 
     descriptor = "svm"
 
-    def __init__(self, c: float = 1.0, max_iter: int = 2000):
-        super().__init__()
-        self.c = c
-        self.max_iter = max_iter
-
     def fit(self, features: np.ndarray, labels: np.ndarray, seed: int = 0):
         check_training_set(features, labels)
         X = np.asarray(features, dtype=np.float64)
         m = np.where(np.asarray(labels) == 1, 1.0, -1.0)
         n, d = X.shape
         self.n_features = d
-        lam = 1.0 / (self.c * n)
+        lam = 1.0 / (SVM_C * n)
         w = np.zeros(d)
         b = 0.0
         w_avg = np.zeros(d)
         b_avg = 0.0
-        for t in range(1, self.max_iter + 1):
+        for t in range(1, SVM_MAX_ITER + 1):
             margins = m * (X @ w + b)
             active = margins < 1.0
             grad_w = lam * w - (m[active, None] * X[active]).sum(axis=0) / n
@@ -130,10 +131,6 @@ class LDAModel(LinearBinaryModel):
 
     descriptor = "lda"
 
-    def __init__(self, ridge: float = 1e-6):
-        super().__init__()
-        self.ridge = ridge
-
     def fit(self, features: np.ndarray, labels: np.ndarray, seed: int = 0):
         check_training_set(features, labels)
         X = np.asarray(features, dtype=np.float64)
@@ -148,7 +145,7 @@ class LDAModel(LinearBinaryModel):
         centered1 = x1 - mu1
         denom = max(n - 2, 1)
         pooled = (centered0.T @ centered0 + centered1.T @ centered1) / denom
-        pooled += self.ridge * np.eye(d)
+        pooled += LDA_RIDGE * np.eye(d)
         w = np.linalg.solve(pooled, mu1 - mu0)
         prior_ratio = np.log(x1.shape[0] / x0.shape[0])
         b = float(-0.5 * w @ (mu0 + mu1) + prior_ratio)

@@ -1,10 +1,14 @@
 """Random forest and the decision tree, its one-tree special case.
 
-Trees split on the Gini criterion with midpoint thresholds, stop only on
-pure nodes or exhausted split candidates, and break all ties toward the
-lowest feature index and lowest threshold.  Prediction routes whole
-batches through the node arrays at once, which keeps the fidelity
-experiments (thousands of predicted rows per explained instance) fast.
+Each runs in one fixed configuration.  The forest grows 10 trees, each on
+a bootstrap sample with ``max(1, int(sqrt(d)))`` candidate features per
+node; the decision tree is one tree on every row with every feature a
+candidate.  Trees split on the Gini criterion with midpoint thresholds,
+grow until every leaf is pure or its rows share one feature vector, and
+break all ties toward the lowest feature index and lowest threshold.
+Prediction routes whole batches through the node arrays at once, which
+keeps the fidelity experiments (thousands of predicted rows per explained
+instance) fast.
 """
 from __future__ import annotations
 
@@ -89,39 +93,40 @@ def _best_split(
         weighted = np.where(distinct, weighted, np.inf)
         k = int(np.argmin(weighted))
         if weighted[k] < best[0]:
-            best = (float(weighted[k]), int(f), float((sv[k] + sv[k + 1]) / 2.0))
+            low, high = float(sv[k]), float(sv[k + 1])
+            threshold = (low + high) / 2.0
+            # The midpoint of two adjacent doubles can round onto the lower
+            # one, and that of two huge ones overflows; either would leave
+            # a child empty.
+            if not low < threshold <= high:
+                threshold = high
+            best = (float(weighted[k]), int(f), threshold)
     if best[1] < 0:
         return None
     return best[1], best[2]
 
 
 def _grow(
-    X: np.ndarray,
-    y: np.ndarray,
-    min_samples_split: int,
-    max_depth: int | None,
-    max_features: int | None,
-    rng: np.random.Generator,
+    X: np.ndarray, y: np.ndarray, max_features: int | None, rng: np.random.Generator
 ) -> _Tree:
     d = X.shape[1]
     all_features = np.arange(d)
+    sampled = max_features is not None and max_features < d
     tree = _Tree()
     root = tree.add_node()
-    stack: list[tuple[int, np.ndarray, int]] = [(root, np.arange(X.shape[0]), 0)]
+    stack: list[tuple[int, np.ndarray]] = [(root, np.arange(X.shape[0]))]
     while stack:
-        node, rows, depth = stack.pop()
+        node, rows = stack.pop()
         ys = y[rows]
         tree.prob[node] = float(ys.mean())
-        pure = ys.min() == ys.max()
-        depth_capped = max_depth is not None and depth >= max_depth
-        if pure or depth_capped or rows.size < min_samples_split:
+        if ys.min() == ys.max():
             continue
-        if max_features is not None and max_features < d:
+        if sampled:
             candidates = np.sort(rng.choice(d, size=max_features, replace=False))
         else:
             candidates = all_features
         split = _best_split(X, y, rows, candidates)
-        if split is None and max_features is not None and max_features < d:
+        if split is None and sampled:
             split = _best_split(X, y, rows, all_features)
         if split is None:
             continue
@@ -135,39 +140,24 @@ def _grow(
         tree.right[node] = right
         # Right pushed first so the left child is processed (and numbered
         # relative to its subtree) in a fixed order.
-        stack.append((right, rows[~goes_left], depth + 1))
-        stack.append((left, rows[goes_left], depth + 1))
+        stack.append((right, rows[~goes_left]))
+        stack.append((left, rows[goes_left]))
     tree.finalize()
     return tree
 
 
 class RandomForestModel(BlackBoxModel):
-    """Bootstrap ensemble of Gini trees with sqrt(d) features per split."""
+    """Ensemble of 10 Gini trees, each on a bootstrap sample with sqrt(d)
+    candidate features per split."""
 
     descriptor = "rf"
+    n_trees = 10
+    # Bootstrap rows and sample sqrt(d) candidate features per node.
+    randomized = True
 
-    def __init__(
-        self,
-        n_trees: int = 10,
-        bootstrap: bool = True,
-        max_features: int | str | None = "sqrt",
-        min_samples_split: int = 2,
-        max_depth: int | None = None,
-    ):
-        self.n_trees = n_trees
-        self.bootstrap = bootstrap
-        self.max_features = max_features
-        self.min_samples_split = min_samples_split
-        self.max_depth = max_depth
+    def __init__(self) -> None:
         self.n_features = 0
         self._trees: list[_Tree] = []
-
-    def _resolve_max_features(self, d: int) -> int | None:
-        if self.max_features is None:
-            return None
-        if self.max_features == "sqrt":
-            return max(1, int(np.sqrt(d)))
-        return int(self.max_features)
 
     def fit(self, features: np.ndarray, labels: np.ndarray, seed: int = 0):
         check_training_set(features, labels)
@@ -175,18 +165,16 @@ class RandomForestModel(BlackBoxModel):
         y = np.asarray(labels, dtype=np.int64)
         n, d = X.shape
         self.n_features = d
-        mf = self._resolve_max_features(d)
+        max_features = max(1, int(np.sqrt(d))) if self.randomized else None
         rng = np.random.default_rng(seed)
         self._trees = []
         for _ in range(self.n_trees):
-            if self.bootstrap:
+            if self.randomized:
                 sample = rng.integers(0, n, size=n)
                 Xb, yb = X[sample], y[sample]
             else:
                 Xb, yb = X, y
-            self._trees.append(
-                _grow(Xb, yb, self.min_samples_split, self.max_depth, mf, rng)
-            )
+            self._trees.append(_grow(Xb, yb, max_features, rng))
         return self
 
     def predict_scores(self, rows: np.ndarray) -> np.ndarray:
@@ -202,15 +190,8 @@ class RandomForestModel(BlackBoxModel):
 
 class DecisionTreeModel(RandomForestModel):
     """Single fully grown Gini tree: the forest of one tree on every row,
-    every feature a split candidate; only the growth limits are settable."""
+    every feature a split candidate."""
 
     descriptor = "dt"
-
-    def __init__(self, min_samples_split: int = 2, max_depth: int | None = None):
-        super().__init__(
-            n_trees=1,
-            bootstrap=False,
-            max_features=None,
-            min_samples_split=min_samples_split,
-            max_depth=max_depth,
-        )
+    n_trees = 1
+    randomized = False

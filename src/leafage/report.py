@@ -96,13 +96,14 @@ def _finite(value) -> bool:
     return not isinstance(value, float) or math.isfinite(value)
 
 
-def _is_number(value) -> bool:
+def is_number(value) -> bool:
+    """A JSON number: an int or float, not a bool."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _check_feature_values(features: dict, where: str) -> None:
     for key, value in features.items():
-        if not _is_number(value):
+        if not is_number(value):
             raise DataError(f"{where}: feature {key!r} must be a number")
 
 
@@ -115,7 +116,7 @@ def _check_fields(obj: dict, spec: dict, where: str) -> None:
             raise DataError(f"{where}: missing field {key!r}")
         value = obj[key]
         if kind is float:
-            if not _is_number(value):
+            if not is_number(value):
                 raise DataError(f"{where}: field {key!r} must be a number")
         elif kind is int:
             if not isinstance(value, int) or isinstance(value, bool):

@@ -114,6 +114,33 @@ class TestExplain:
         assert code == 5
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "value", ["true", '"0.5"', "null", "[1]", "1" + "0" * 400]
+    )
+    def test_non_number_instance_exit_3_without_report(self, tmp_path, value):
+        out = tmp_path / "report.json"
+        code = run(["explain", "--train", "ad", "--model", "lr",
+                    "--instance", '{"x1": %s, "x2": 1}' % value, "--out", out])
+        assert code == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["dt", "rf"])
+    def test_ulp_adjacent_values_exit_0(self, tmp_path, model):
+        # After standardization the first and last x are adjacent doubles
+        # whose midpoint rounds onto the lower one.
+        csv = tmp_path / "ulp.csv"
+        csv.write_text(
+            "x,label\n1.8844673057094008,A\n-1.1107857602089624,B\n"
+            "-3.6490349497758876,A\n2.214883401940817,B\n"
+            "0.25354322475725866,A\n-1.8975812444104436,B\n"
+            "1.884467305709401,B\n"
+        )
+        out = tmp_path / "report.json"
+        code = run(["explain", "--train", csv, "--model", model,
+                    "--instance", 0, "--seed", 0, "--out", out])
+        assert code == 0
+        assert load_report(str(out))["model"] == model
+
     def test_missing_train_file_exit_3(self, tmp_path):
         code = run(["explain", "--train", tmp_path / "nope.csv", "--model", "knn",
                     "--instance", 0, "--seed", 1, "--out", tmp_path / "r.json"])
@@ -227,6 +254,10 @@ class TestEvaluateSeeds:
             "--classifiers", "lr,knn", "--strategies", "leafage,lime,baseline",
             "--lime-samples", 200]
 
+    @staticmethod
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("run_setting called before the options were checked")
+
     def test_pooled_over_seeds(self, tmp_path, monkeypatch):
         run_setting = cli.run_setting
         write_results_csv = cli.write_results_csv
@@ -289,13 +320,34 @@ class TestEvaluateSeeds:
         assert exc.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--classifiers", "lr,lr"), ("--datasets", "ad,ad"),
+         ("--strategies", "leafage,lime,leafage")],
+    )
+    def test_duplicate_list_values_usage_error(self, tmp_path, monkeypatch,
+                                               option, value):
+        monkeypatch.setattr(cli, "run_setting", self.must_not_run)
+        out = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(self.ARGS + [option, value, "--seed", 0, "--out", out])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_unknown_classifier_in_list_exit_4_before_any_setting(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "run_setting", self.must_not_run)
+        out = tmp_path / "r.csv"
+        code = run(self.ARGS + ["--classifiers", "lr,svm,lda,dt,rf,foo",
+                                "--seed", 0, "--out", out])
+        assert code == 4
+        assert not out.exists()
+
     @pytest.mark.parametrize("alpha", [0, 1, 1.5, -0.1])
     def test_alpha_outside_open_unit_interval_exit_3(self, tmp_path, monkeypatch,
                                                      alpha):
-        def must_not_run(*args, **kwargs):
-            raise AssertionError("run_setting called before --alpha was checked")
-
-        monkeypatch.setattr(cli, "run_setting", must_not_run)
+        monkeypatch.setattr(cli, "run_setting", self.must_not_run)
         out = tmp_path / "r.csv"
         code = run(self.ARGS + ["--seed", 0, "--alpha", alpha, "--out", out])
         assert code == 3

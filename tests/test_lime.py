@@ -12,6 +12,7 @@ from leafage.lime import (
     LimeConfig,
     QuartileBins,
     kernel_weights,
+    kernel_width,
     lime_fit,
     lime_quartile_fit,
     lime_sample,
@@ -48,14 +49,7 @@ class TestKernel:
         assert w == pytest.approx(0.36788, abs=5e-6)
 
     def test_default_sigma_d4(self):
-        assert LimeConfig().resolve_sigma(4) == pytest.approx(1.5)
-        assert LimeConfig(sigma=2.0).resolve_sigma(4) == 2.0
-
-    def test_sigma_validation(self):
-        with pytest.raises(ExplanationError):
-            LimeConfig(sigma=0.0)
-        with pytest.raises(ExplanationError):
-            LimeConfig(sigma=-1.0)
+        assert kernel_width(4) == pytest.approx(1.5)
 
     @given(
         st.floats(min_value=0.0, max_value=10.0),
@@ -103,7 +97,7 @@ class TestFit:
         s = lime_fit(model, z, cfg)
         rng = np.random.default_rng(99)
         fresh = rng.standard_normal((20000, 2))
-        inside = np.linalg.norm(fresh - z, axis=1) <= 2 * cfg.resolve_sigma(2)
+        inside = np.linalg.norm(fresh - z, axis=1) <= 2 * kernel_width(2)
         fresh = fresh[inside]
         agree = np.mean(
             (s.score(fresh) >= 0).astype(int) == model.predict_labels(fresh)

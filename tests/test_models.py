@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import separable_blobs
@@ -23,6 +23,7 @@ from leafage.models import (
     RandomForestModel,
     fit,
 )
+from leafage.models import linear
 from leafage.models.neighbors import BLOCK_ELEMENTS
 
 
@@ -66,10 +67,11 @@ class TestLinearFamily:
                 mid = lam * a + (1 - lam) * c
                 assert (mid @ w + b) == pytest.approx(a @ w + b, abs=1e-9)
 
-    def test_lr_nonconvergence_warns_but_returns(self):
+    def test_lr_nonconvergence_warns_but_returns(self, monkeypatch):
         X, y = separable_blobs()
+        monkeypatch.setattr(linear, "LR_MAX_ITER", 3)
         with pytest.warns(UserWarning, match="did not reach"):
-            model = LogisticRegressionModel(max_iter=3).fit(X, y)
+            model = LogisticRegressionModel().fit(X, y)
         assert model.weights is not None
         assert not model.converged
 
@@ -90,14 +92,50 @@ class TestTrees:
         grid = np.random.default_rng(0).normal(size=(200, 2))
         assert np.array_equal(a.predict_labels(grid), b.predict_labels(grid))
 
-    def test_rf_single_tree_equals_dt(self):
-        ds = generate_artificial(150, seed=2)
-        dt = DecisionTreeModel().fit(ds.features, ds.labels)
-        rf = RandomForestModel(n_trees=1, bootstrap=False, max_features=None).fit(
-            ds.features, ds.labels, seed=123
+    @given(st.data(), st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_dt_labels_distinct_training_rows(self, data, d):
+        # Rows draw one feature from a few base values, each moved up by
+        # 0-2 ulps, and leave the others 0; many rows then differ by a
+        # single ulp, where a midpoint threshold can round onto the lower
+        # value.
+        bases = data.draw(
+            st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=3), label="bases"
         )
-        grid = np.random.default_rng(1).normal(size=(500, 2)) * 2
-        assert np.array_equal(dt.predict_labels(grid), rf.predict_labels(grid))
+        entries = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(bases),
+                    st.integers(0, 2),
+                    st.integers(0, d - 1),
+                    st.integers(0, 1),
+                ),
+                min_size=2,
+                max_size=40,
+            ),
+            label="rows",
+        )
+        X = np.zeros((len(entries), d))
+        for i, (base, ulps, feature, _) in enumerate(entries):
+            value = base
+            for _ in range(ulps):
+                value = np.nextafter(value, np.inf)
+            X[i, feature] = value
+        y = np.array([label for *_, label in entries])
+        _, first = np.unique(X, axis=0, return_index=True)
+        keep = np.sort(first)
+        assume(keep.size >= 2)
+        X, y = X[keep], y[keep]
+        if np.unique(y).size < 2:
+            y[0] = 1 - y[0]
+        model = DecisionTreeModel().fit(X, y)
+        assert np.array_equal(model.predict_labels(X), y)
+
+    def test_dt_splits_between_huge_values(self):
+        # Their sum overflows, so their midpoint is infinite.
+        X = np.array([[1.7e308], [1.75e308]])
+        y = np.array([0, 1])
+        assert np.array_equal(DecisionTreeModel().fit(X, y).predict_labels(X), y)
 
     def test_rf_deterministic_given_seed(self):
         ds = generate_artificial(80, seed=3)
@@ -270,11 +308,6 @@ class TestFitFactory:
         ds = Dataset(X, y, ["a", "b"], ["x", "y", "z"])
         with pytest.raises(ModelError, match="one-vs-rest"):
             fit(algorithm, ds)
-
-    def test_hyperparams_forwarded(self):
-        ds = generate_artificial(50, seed=0)
-        model = fit("rf", ds, {"n_trees": 3})
-        assert len(model._trees) == 3
 
     def test_bad_hyperparams(self):
         ds = generate_artificial(10, seed=0)
