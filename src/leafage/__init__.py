@@ -41,7 +41,6 @@ from .evaluation import (
     FidelitySummary,
     auc,
     fidelity_sphere,
-    local_fidelity,
     results_table,
     run_setting,
     wilcoxon_signed_rank,
@@ -78,7 +77,6 @@ __all__ = [
     "auc",
     "wilcoxon_signed_rank",
     "fidelity_sphere",
-    "local_fidelity",
     "run_setting",
     "results_table",
     "LeafageError",

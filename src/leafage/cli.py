@@ -49,14 +49,26 @@ EXIT_EXPLANATION = 5
 DEFAULT_N_PER_CLASS = 250
 
 
+def _seed(text: str) -> int:
+    """A seed from ``--seed`` or ``LEAFAGE_SEED``: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}"
+        )
+    return value
+
+
 def _resolve_seed(value: int | None) -> int:
     if value is not None:
         return value
-    raw = os.environ.get("LEAFAGE_SEED", "0")
     try:
-        return int(raw)
-    except ValueError:
-        raise DataError(f"LEAFAGE_SEED must be an integer, got {raw!r}") from None
+        return _seed(os.environ.get("LEAFAGE_SEED", "0"))
+    except argparse.ArgumentTypeError as exc:
+        raise DataError(f"LEAFAGE_SEED {exc}") from None
 
 
 def _load_dataset(
@@ -115,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen-ad", help="write the artificial dataset as CSV")
     gen.add_argument("--n-per-class", type=int, default=DEFAULT_N_PER_CLASS)
-    gen.add_argument("--seed", type=int, default=None)
+    gen.add_argument("--seed", type=_seed, default=None)
     gen.add_argument("--out", required=True)
 
     exp = sub.add_parser("explain", help="explain one prediction")
@@ -129,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     exp.add_argument("--i-small", type=int, default=10)
     exp.add_argument("--k", type=int, default=5)
-    exp.add_argument("--seed", type=int, default=None)
+    exp.add_argument("--seed", type=_seed, default=None)
     exp.add_argument("--n-per-class", type=int, default=DEFAULT_N_PER_CLASS)
     exp.add_argument("--out", required=True, help="report JSON path")
     exp.add_argument("--svg", default=None, help="optional SVG rendering path")
@@ -160,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--n-per-class", type=int, default=DEFAULT_N_PER_CLASS)
     ev.add_argument(
         "--seed",
-        type=int,
+        type=_seed,
         nargs="+",
         default=None,
         help="one or more distinct seeds, their per-instance AUCs pooled",
@@ -209,13 +221,15 @@ def cmd_evaluate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     datasets = _comma_list(args.datasets)
     classifiers = _comma_list(args.classifiers)
     strategies = tuple(_comma_list(args.strategies))
-    # A repeated value would pool its instances twice.
+    # An empty list runs nothing; a repeated value pools its instances twice.
     for option, values in (
         ("--seed", seeds),
         ("--datasets", datasets),
         ("--classifiers", classifiers),
         ("--strategies", strategies),
     ):
+        if not values:
+            parser.error(f"{option} needs at least one value")
         if len(set(values)) != len(values):
             parser.error(f"{option} values must be distinct, got {list(values)}")
     unknown = [c for c in classifiers if c not in models.ALGORITHMS]
@@ -257,7 +271,7 @@ def cmd_evaluate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
                             summary.per_instance_auc
                         )
     summaries = [
-        FidelitySummary.from_scores(setting, np.concatenate(parts))
+        FidelitySummary(setting, np.concatenate(parts))
         for setting, parts in pooled.items()
     ]
     write_results_csv(summaries, args.out, alpha=args.alpha)

@@ -322,7 +322,9 @@ def explain(
 
     Pure function of immutable inputs: explanations for different
     instances may run in parallel against a shared model and dataset.
-    A non-finite ``z`` and a training set that is not binary are rejected.
+    A non-finite ``z`` and a training set that is not binary are rejected,
+    and so is an instance so far from the training rows that its
+    standardized values, an importance or a dissimilarity overflows.
     """
     if len(train.class_names) != 2:
         raise DataError(
@@ -339,7 +341,13 @@ def explain(
     if not np.all(np.isfinite(z)):
         raise ExplanationError("instance has non-finite feature values")
     X_std = standardizer.transform(train.features)
-    z_std = standardizer.transform(z[None, :])[0]
+    # A far instance can overflow a double: such steps run quietly, and a
+    # non-finite result is rejected.
+    too_far = "instance lies too far from the training rows: {} overflows"
+    with np.errstate(over="ignore"):
+        z_std = standardizer.transform(z[None, :])[0]
+    if not np.all(np.isfinite(z_std)):
+        raise ExplanationError(too_far.format("its standardized value"))
     predicted = model.predict_labels(X_std)
     c_z = int(model.predict_labels(z_std[None, :])[0])
 
@@ -357,10 +365,13 @@ def explain(
         if class_counts[cls] < quota:
             flags.append(f"local_sample_shortfall_class_{cls}")
 
-    importances = feature_importances(surrogate, z_std)
-    allies, enemies = retrieve_examples(
-        X_std, predicted, surrogate, z_std, c_z, cfg.k_examples
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        importances = feature_importances(surrogate, z_std)
+        allies, enemies = retrieve_examples(
+            X_std, predicted, surrogate, z_std, c_z, cfg.k_examples
+        )
+    if not np.all(np.isfinite([*importances, *(b for _, b in allies + enemies)])):
+        raise ExplanationError(too_far.format("an importance or a dissimilarity"))
     if len(allies) < cfg.k_examples:
         flags.append("ally_shortfall")
     if len(enemies) < cfg.k_examples:

@@ -34,7 +34,6 @@ __all__ = [
     "auc",
     "wilcoxon_signed_rank",
     "fidelity_sphere",
-    "local_fidelity",
     "run_setting",
     "results_table",
     "write_results_csv",
@@ -68,32 +67,35 @@ class FidelityConfig:
 @dataclass
 class FidelitySummary:
     """Per-instance AUC scores for one (dataset, class, classifier,
-    strategy) setting; skipped instances are NaN."""
+    strategy) setting; skipped instances are NaN.  The statistics are
+    derived from the scored instances; with none scored they are NaN."""
 
     setting: tuple[str, str, str, str]
     per_instance_auc: np.ndarray
-    mean: float
-    stddev: float
-    n_scored: int
-    n_skipped: int
-
-    @classmethod
-    def from_scores(
-        cls, setting: tuple[str, str, str, str], scores: np.ndarray
-    ) -> "FidelitySummary":
-        scored = scores[~np.isnan(scores)]
-        return cls(
-            setting=setting,
-            per_instance_auc=scores,
-            mean=float(scored.mean()) if scored.size else float("nan"),
-            stddev=float(scored.std()) if scored.size else float("nan"),
-            n_scored=int(scored.size),
-            n_skipped=int(scores.size - scored.size),
-        )
 
     @property
     def strategy(self) -> str:
         return self.setting[3]
+
+    @property
+    def _scored(self) -> np.ndarray:
+        return self.per_instance_auc[~np.isnan(self.per_instance_auc)]
+
+    @property
+    def mean(self) -> float:
+        return float(self._scored.mean()) if self.n_scored else math.nan
+
+    @property
+    def stddev(self) -> float:
+        return float(self._scored.std()) if self.n_scored else math.nan
+
+    @property
+    def n_scored(self) -> int:
+        return int(self._scored.size)
+
+    @property
+    def n_skipped(self) -> int:
+        return int(self.per_instance_auc.size - self.n_scored)
 
 
 def _rank_average(values: np.ndarray) -> np.ndarray:
@@ -136,8 +138,11 @@ class WilcoxonResult:
     statistic: float
     p_value: float | None
     n_nonzero: int
-    inconclusive: bool
     method: str = ""
+
+    @property
+    def inconclusive(self) -> bool:
+        return self.p_value is None
 
 
 def _exact_signed_rank_p(ranks: np.ndarray, stat: float) -> float:
@@ -191,11 +196,7 @@ def wilcoxon_signed_rank(a: np.ndarray, b: np.ndarray) -> WilcoxonResult:
     n = diff.size
     if n < 6:
         return WilcoxonResult(
-            statistic=float("nan"),
-            p_value=None,
-            n_nonzero=n,
-            inconclusive=True,
-            method="inconclusive",
+            statistic=math.nan, p_value=None, n_nonzero=n, method="inconclusive"
         )
     ranks = _rank_average(np.abs(diff))
     stat = float(ranks[diff > 0].sum())
@@ -205,9 +206,7 @@ def wilcoxon_signed_rank(a: np.ndarray, b: np.ndarray) -> WilcoxonResult:
     else:
         p = _normal_signed_rank_p(ranks, stat)
         method = "normal"
-    return WilcoxonResult(
-        statistic=stat, p_value=p, n_nonzero=n, inconclusive=False, method=method
-    )
+    return WilcoxonResult(statistic=stat, p_value=p, n_nonzero=n, method=method)
 
 
 def fidelity_sphere(
@@ -222,7 +221,8 @@ def fidelity_sphere(
     predicted = np.asarray(predicted)
     z = features[z_index]
     c_z = predicted[z_index]
-    dist = np.sqrt(np.einsum("ij,ij->i", features - z, features - z))
+    diff = features - z
+    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     others = np.arange(features.shape[0]) != z_index
     enemy = (predicted != c_z) & others
     n_enemy = int(enemy.sum())
@@ -231,20 +231,6 @@ def fidelity_sphere(
     enemy_dist = np.sort(dist[enemy])
     radius = enemy_dist[math.ceil(p * n_enemy) - 1]
     return np.flatnonzero((dist <= radius) & others)
-
-
-def local_fidelity(
-    surrogate: LocalSurrogate, blackbox_labels: np.ndarray, sphere_rows: np.ndarray
-) -> float | None:
-    """AUC of surrogate scores against black-box labels on the sphere.
-
-    None (skipped) when the sphere is single-class; a degenerate
-    surrogate's constant scores land on 0.5 through tie handling.
-    """
-    labels = np.asarray(blackbox_labels) == 1
-    if labels.all() or not labels.any():
-        return None
-    return auc(labels, surrogate.score(sphere_rows))
 
 
 def _derived_seed(base: int, index: int) -> int:
@@ -264,9 +250,9 @@ def run_setting(
 ) -> list[FidelitySummary]:
     """Train one classifier and score every strategy on every test row.
 
-    The baseline strategy stands in for a constant predictor (it always
-    emits the majority predicted class as its score), which pins its AUC
-    at 0.5 on every scored instance.  ``lime`` and ``lime-quartile`` are
+    The baseline strategy stands in for a constant predictor: it scores
+    every sphere row alike, so tie handling pins its AUC at exactly 0.5
+    on every scored instance.  ``lime`` and ``lime-quartile`` are
     the continuous and the quartile-discretized LIME baselines; both seed
     instance ``i`` from ``lime_cfg.seed`` and ``i`` alone.  Skips (no test
     enemies, a single-class sphere, or no training row predicted unlike
@@ -294,7 +280,7 @@ def run_setting(
         QuartileBins.fit(X_train) if "lime-quartile" in strategies else None
     )
 
-    majority_predicted = float(np.bincount(pred_test, minlength=2).argmax())
+    baseline = LocalSurrogate(np.zeros(test.d), intercept=0.0, degenerate=True)
     scores = {s: np.full(test.n, np.nan) for s in strategies}
     for i in range(test.n):
         try:
@@ -311,11 +297,7 @@ def run_setting(
             continue
         for strategy in strategies:
             if strategy == "baseline":
-                surrogate = LocalSurrogate(
-                    weights=np.zeros(test.d),
-                    intercept=majority_predicted,
-                    degenerate=True,
-                )
+                surrogate = baseline
             elif strategy == "leafage":
                 x_border = closest_enemy(X_train, pred_train, z, c_z)
                 local = sample_local_training_set(
@@ -328,15 +310,11 @@ def run_setting(
                     surrogate = lime_fit(model, z, cfg_i)
                 else:
                     surrogate = lime_quartile_fit(model, quartile_bins, z, cfg_i)
-            value = local_fidelity(surrogate, sphere_labels, sphere_rows)
-            if value is not None:
-                scores[strategy][i] = value
+            scores[strategy][i] = auc(sphere_labels == 1, surrogate.score(sphere_rows))
 
     positive = train.class_names[1]
     return [
-        FidelitySummary.from_scores(
-            (train.name, positive, classifier, strategy), scores[strategy]
-        )
+        FidelitySummary((train.name, positive, classifier, strategy), scores[strategy])
         for strategy in strategies
     ]
 
@@ -368,11 +346,8 @@ def bold_flags(
         best = members[int(np.argmax(means))]
         corrected = alpha / max(1, len(members) - 1)
         for m in members:
-            if m is best:
+            if m is best or math.isnan(m.mean):
                 flags[m.setting] = not math.isnan(m.mean)
-                continue
-            if math.isnan(m.mean):
-                flags[m.setting] = False
                 continue
             paired = ~np.isnan(best.per_instance_auc) & ~np.isnan(m.per_instance_auc)
             result = wilcoxon_signed_rank(

@@ -50,6 +50,13 @@ class TestGenAd:
         run(["gen-ad", "--n-per-class", 10, "--seed", 5, "--out", b])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_negative_seed_usage_error(self, tmp_path):
+        out = tmp_path / "ad.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["gen-ad", "--n-per-class", 10, "--seed", -1, "--out", out])
+        assert exc.value.code == 2
+        assert not out.exists()
+
 
 class TestExplain:
     def test_ad_knn_report_shape(self, tmp_path):
@@ -111,6 +118,27 @@ class TestExplain:
         out = tmp_path / "report.json"
         code = run(["explain", "--train", "ad", "--model", "lr",
                     "--instance", '{"x1": NaN, "x2": 1.0}', "--out", out])
+        assert code == 5
+        assert not out.exists()
+
+    def test_negative_seed_usage_error(self, tmp_path):
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            run(["explain", "--train", "ad", "--instance", 1, "--seed", -2,
+                 "--out", out])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [1e300, 1.7e308])
+    def test_far_instance_exit_5_without_report(self, tmp_path, value):
+        X = 0.5 + 0.0094 * np.random.default_rng(0).standard_normal((60, 2))
+        train = tmp_path / "narrow.csv"
+        train.write_text("a,b,label\n" + "".join(
+            f"{a!r},{b!r},{'p' if a > 0.5 else 'n'}\n" for a, b in X.tolist()
+        ))
+        out = tmp_path / "report.json"
+        code = run(["explain", "--train", train, "--instance",
+                    json.dumps({"a": value, "b": 0.5}), "--out", out])
         assert code == 5
         assert not out.exists()
 
@@ -317,6 +345,35 @@ class TestEvaluateSeeds:
         out = tmp_path / "r.csv"
         with pytest.raises(SystemExit) as exc:
             run(self.ARGS + ["--seed", 1, 1, "--out", out])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_negative_seed_usage_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run_setting", self.must_not_run)
+        out = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(self.ARGS + ["--seed", 1, -1, "--out", out])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_negative_env_seed_data_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_setting", self.must_not_run)
+        monkeypatch.setenv("LEAFAGE_SEED", "-3")
+        out = tmp_path / "r.csv"
+        assert run(self.ARGS + ["--out", out]) == 3
+        assert "LEAFAGE_SEED must be a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--classifiers", ""), ("--strategies", ""), ("--datasets", ""),
+         ("--classifiers", ",")],
+    )
+    def test_empty_list_usage_error(self, tmp_path, monkeypatch, option, value):
+        monkeypatch.setattr(cli, "run_setting", self.must_not_run)
+        out = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(self.ARGS + [f"{option}={value}", "--seed", 0, "--out", out])
         assert exc.value.code == 2
         assert not out.exists()
 

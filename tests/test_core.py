@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FixedLinearModel
+from leafage import models
 from leafage.core import (
     Example,
     LeafageConfig,
@@ -427,3 +428,21 @@ class TestExplain:
         assert "ally_shortfall" in e.flags
         assert "enemy_shortfall" in e.flags
         assert len(e.allies) < 10 and len(e.enemies) < 10
+
+    @staticmethod
+    def narrow_dataset():
+        # Feature standard deviations near 0.0094 magnify a far instance
+        # about a hundredfold once it is standardized.
+        X = 0.5 + 0.0094 * np.random.default_rng(0).standard_normal((60, 2))
+        return Dataset(X, (X[:, 0] > 0.5).astype(int), ["a", "b"], ["n", "p"])
+
+    @pytest.mark.parametrize(
+        "value, what",
+        [(1e300, "a dissimilarity"), (1.7e308, "its standardized value")],
+    )
+    def test_far_instance_rejected(self, value, what):
+        ds = self.narrow_dataset()
+        fitted = models.fit_on_standardized("rf", ds)
+        with pytest.raises(ExplanationError, match=f"too far.*{what} overflows"):
+            explain(fitted.model, ds, np.array([value, 0.5]),
+                    standardizer=fitted.standardizer)

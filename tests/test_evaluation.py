@@ -18,7 +18,6 @@ from leafage.evaluation import (
     bold_flags,
     fidelity_sphere,
     format_mean_std,
-    local_fidelity,
     results_table,
     run_setting,
     wilcoxon_signed_rank,
@@ -251,7 +250,7 @@ class TestLocalFidelity:
         s = LocalSurrogate(weights=np.array([1.0, 0.0]), intercept=0.0)
         rows = np.array([[2.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [-2.0, 0.0]])
         labels = np.array([1, 1, 0, 0])
-        assert local_fidelity(s, labels, rows) == 1.0
+        assert auc(labels, s.score(rows)) == 1.0
 
     def test_constant_scores_half(self):
         s = LocalSurrogate(
@@ -259,12 +258,7 @@ class TestLocalFidelity:
         )
         rows = np.random.default_rng(0).normal(size=(10, 2))
         labels = np.array([0, 1] * 5)
-        assert local_fidelity(s, labels, rows) == 0.5
-
-    def test_single_class_sphere_skipped(self):
-        s = LocalSurrogate(weights=np.ones(2), intercept=0.0)
-        rows = np.zeros((4, 2))
-        assert local_fidelity(s, np.ones(4, dtype=int), rows) is None
+        assert auc(labels, s.score(rows)) == 0.5
 
 
 class TestRunSetting:
@@ -342,6 +336,35 @@ class TestRunSetting:
         for mask in skipped[1:]:
             assert np.array_equal(mask, skipped[0])
 
+    def test_single_class_sphere_skips_every_strategy(self, monkeypatch):
+        # The model says 1 right of x1 = 3.  With p = 0.1 each sphere
+        # reaches only the nearest test enemy, so test row 4 (x1 = 2.6,
+        # predicted 0) holds just the enemy at 3.5, while every other row
+        # has an ally inside its sphere.
+        rng = np.random.default_rng(0)
+        train = Dataset(
+            rng.uniform(0.0, 6.0, size=(40, 2)), np.arange(40) % 2,
+            ["x1", "x2"], ["A", "B"], name="gap",
+        )
+        x1 = [0.0, 0.1, 0.2, 0.3, 2.6, 3.5, 3.6, 3.7, 3.8, 3.9]
+        test = Dataset(
+            np.column_stack([x1, np.ones(10)]), np.arange(10) % 2,
+            ["x1", "x2"], ["A", "B"],
+        )
+        boundary = (3.0 - train.features[:, 0].mean()) / train.features[:, 0].std()
+        monkeypatch.setattr(
+            models, "fit",
+            lambda *args, **kwargs: FixedLinearModel([1.0, 0.0], -boundary),
+        )
+        summaries = run_setting(
+            train, test, "lr", ("leafage", "lime", "baseline"),
+            lime_cfg=LimeConfig(n_samples=200), fidelity_cfg=FidelityConfig(p=0.1),
+        )
+        for summary in summaries:
+            skipped = np.isnan(summary.per_instance_auc)
+            assert np.flatnonzero(skipped).tolist() == [4]
+            assert summary.n_skipped == 1 and summary.n_scored == 9
+
     def test_unknown_strategy(self):
         ds = generate_artificial(20, seed=0)
         train, test = train_test_split(ds, SplitSpec(seed=0))
@@ -356,7 +379,7 @@ class TestRunSetting:
 
 
 def synthetic_summary(setting, values):
-    return FidelitySummary.from_scores(setting, np.asarray(values, dtype=float))
+    return FidelitySummary(setting, np.asarray(values, dtype=float))
 
 
 class TestResultsTable:

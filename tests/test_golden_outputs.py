@@ -1,9 +1,10 @@
 """Byte-level goldens for the CLI outputs of every reference classifier.
 
-A small fidelity protocol run (all four strategies over the six black
-boxes) and one ``explain`` report per black box are compared with files
-under ``tests/golden/``.  Set ``GOLDEN_UPDATE=1`` to rewrite them; do so
-only for a change that is meant to alter the outputs.
+The default fidelity protocol run on ``ad`` with seed 0, a small run of
+all four strategies over the six black boxes, and one ``explain`` report
+per black box are compared with files under ``tests/golden/``.  Set
+``GOLDEN_UPDATE=1`` to rewrite them; do so only for a change that is meant
+to alter the outputs.
 """
 import os
 from pathlib import Path
@@ -35,6 +36,18 @@ def test_evaluate_all_strategies(tmp_path):
     assert code == 0
     check_golden(out, "evaluate_seed3.csv")
     check_golden(table, "evaluate_seed3.txt")
+
+
+def test_evaluate_default_protocol(tmp_path):
+    out = tmp_path / "results.csv"
+    table = tmp_path / "results.txt"
+    code = main(
+        ["evaluate", "--datasets", "ad", "--seed", "0",
+         "--out", str(out), "--table", str(table)]
+    )
+    assert code == 0
+    check_golden(out, "evaluate_ad_seed0.csv")
+    check_golden(table, "evaluate_ad_seed0.txt")
 
 
 @pytest.mark.parametrize("model", CANONICAL_ALGORITHMS)

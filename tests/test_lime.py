@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import ConstantModel, FixedLinearModel
 from leafage.errors import ExplanationError
-from leafage.evaluation import local_fidelity
+from leafage.evaluation import auc
 from leafage.lime import (
     LimeConfig,
     QuartileBins,
@@ -172,7 +172,7 @@ class TestQuartile:
         assert np.all(s.weights == 0.0)
         rows = self.training_rows(n=20, d=2, seed=6)
         labels = np.arange(20) % 2
-        assert local_fidelity(s, labels, rows) == 0.5
+        assert auc(labels, s.score(rows)) == 0.5
 
     def test_constant_and_tied_quartile_columns(self):
         rng = np.random.default_rng(3)
