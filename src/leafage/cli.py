@@ -196,10 +196,10 @@ def cmd_gen_ad(args: argparse.Namespace) -> int:
 
 def cmd_explain(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
+    cfg = LeafageConfig(i_small=args.i_small, k_examples=args.k, seed=seed)
     ds = _load_dataset(args.train, args.label_column, args.n_per_class, seed)
     z = _parse_instance(parser, ds, args.instance)
     model = models.fit_on_standardized(args.model, ds, seed=seed)
-    cfg = LeafageConfig(i_small=args.i_small, k_examples=args.k, seed=seed)
     explanation = explain(model.model, ds, z, cfg, standardizer=model.standardizer)
     report = build_report(explanation, ds, model.model.descriptor, seed=seed)
     write_report(report, args.out)

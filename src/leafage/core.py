@@ -52,9 +52,9 @@ class LeafageConfig:
 
     def __post_init__(self) -> None:
         if self.i_small < 2:
-            raise ExplanationError("i_small must be an integer greater than 1")
+            raise DataError("i_small must be an integer greater than 1")
         if self.k_examples < 1:
-            raise ExplanationError("k_examples must be at least 1")
+            raise DataError("k_examples must be at least 1")
 
 
 @dataclass
@@ -153,10 +153,12 @@ def weighted_logistic_fit(
     features: np.ndarray,
     targets: np.ndarray,
     sample_weight: np.ndarray | None = None,
+    l2: float = SURROGATE_L2,
 ) -> tuple[np.ndarray, float]:
     """Ridge-regularized logistic fit by damped Newton iterations.
 
-    The intercept is unpenalized.  Backtracking halves any step that fails
+    Minimizes the weighted summed logistic loss plus 0.5 * l2 * ||w||^2;
+    the intercept is unpenalized.  Backtracking halves any step that fails
     to decrease the penalized loss, which keeps the solver monotone even
     on separable data where the optimum norm is large.
     """
@@ -165,13 +167,13 @@ def weighted_logistic_fit(
     n, d = X.shape
     sw = np.ones(n) if sample_weight is None else np.asarray(sample_weight, float)
     Xa = np.hstack([X, np.ones((n, 1))])
-    penalty = np.full(d + 1, SURROGATE_L2)
+    penalty = np.full(d + 1, l2)
     penalty[d] = 0.0
     beta = np.zeros(d + 1)
 
     def loss(b: np.ndarray) -> float:
         z_lin = Xa @ b
-        return float(sw @ _stable_nll(z_lin, y) + 0.5 * SURROGATE_L2 * (b[:d] @ b[:d]))
+        return float(sw @ _stable_nll(z_lin, y) + 0.5 * l2 * (b[:d] @ b[:d]))
 
     current = loss(beta)
     for _ in range(SURROGATE_MAX_ITER):

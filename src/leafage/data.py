@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -215,16 +215,6 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def _subset(ds: Dataset, indices: np.ndarray) -> Dataset:
-    return Dataset(
-        features=ds.features[indices],
-        labels=ds.labels[indices],
-        column_names=ds.column_names,
-        class_names=ds.class_names,
-        name=ds.name,
-    )
-
-
 def train_test_split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     """Disjoint row partition; identical seed reproduces the partition."""
     if ds.n < 2:
@@ -251,18 +241,15 @@ def train_test_split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
             f"split produced an empty partition (n={ds.n}, "
             f"train_fraction={spec.train_fraction})"
         )
-    return _subset(ds, train_idx), _subset(ds, test_idx)
+    return tuple(
+        replace(ds, features=ds.features[idx], labels=ds.labels[idx])
+        for idx in (train_idx, test_idx)
+    )
 
 
 def standardized(ds: Dataset, standardizer: Standardizer) -> Dataset:
     """The same dataset with features pushed through a fitted Standardizer."""
-    return Dataset(
-        features=standardizer.transform(ds.features),
-        labels=ds.labels,
-        column_names=ds.column_names,
-        class_names=ds.class_names,
-        name=ds.name,
-    )
+    return replace(ds, features=standardizer.transform(ds.features))
 
 
 def one_vs_rest(ds: Dataset, positive_class: str) -> Dataset:
@@ -275,13 +262,7 @@ def one_vs_rest(ds: Dataset, positive_class: str) -> Dataset:
         )
     positive_code = ds.class_names.index(positive)
     labels = (ds.labels == positive_code).astype(np.int64)
-    return Dataset(
-        features=ds.features,
-        labels=labels,
-        column_names=ds.column_names,
-        class_names=["rest", positive],
-        name=ds.name,
-    )
+    return replace(ds, labels=labels, class_names=["rest", positive])
 
 
 AD_MEAN_A = np.array([0.0, 0.0])

@@ -10,7 +10,8 @@ class LeafageError(Exception):
 
 
 class DataError(LeafageError):
-    """Dataset ingestion, validation or serialization failed."""
+    """Dataset ingestion, option or report validation, or serialization
+    failed."""
 
 
 class ModelError(LeafageError):

@@ -269,6 +269,8 @@ def run_setting(
     leafage_cfg = leafage_cfg or LeafageConfig()
     lime_cfg = lime_cfg or LimeConfig()
     fidelity_cfg = fidelity_cfg or FidelityConfig()
+    if {"lime", "lime-quartile"} & set(strategies):
+        lime_cfg.check_n_samples(train.d)
 
     fitted = models.fit_on_standardized(classifier, train, seed=model_seed)
     model = fitted.model

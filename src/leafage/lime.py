@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEGENERATE_WEIGHT_NORM, LocalSurrogate, weighted_logistic_fit
-from .errors import ExplanationError
+from .errors import DataError, ExplanationError
 
 __all__ = [
     "LimeConfig",
@@ -55,7 +55,7 @@ class LimeConfig:
 
     def check_n_samples(self, d: int) -> None:
         if self.n_samples < 10 * d:
-            raise ExplanationError(
+            raise DataError(
                 f"n_samples={self.n_samples} is below the minimum 10*d={10 * d}"
             )
 

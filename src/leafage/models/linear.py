@@ -9,17 +9,14 @@ module constants below.
 """
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
+from ..core import weighted_logistic_fit
 from .base import BlackBoxModel, check_matrix, check_training_set
 
-# Logistic regression: L2 penalty (divided by n), iteration cap and
-# gradient tolerance.
+# Logistic regression: L2 penalty on the summed logistic loss (the same
+# objective as LR_L2 / n on the mean loss).
 LR_L2 = 1.0
-LR_MAX_ITER = 1000
-LR_TOL = 1e-6
 # Linear SVM: hinge-loss weight C and subgradient iterations.
 SVM_C = 1.0
 SVM_MAX_ITER = 2000
@@ -34,7 +31,6 @@ class LinearBinaryModel(BlackBoxModel):
         self.weights: np.ndarray | None = None
         self.intercept: float = 0.0
         self.n_features: int = 0
-        self.converged: bool = True
 
     def predict_scores(self, rows: np.ndarray) -> np.ndarray:
         rows = check_matrix(rows, self.n_features)
@@ -44,46 +40,18 @@ class LinearBinaryModel(BlackBoxModel):
         return (self.predict_scores(rows) >= 0.0).astype(np.int64)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))
-
-
 class LogisticRegressionModel(LinearBinaryModel):
-    """L2-penalized logistic regression trained by full-batch gradient
-    descent with a Lipschitz step size."""
+    """L2-penalized logistic regression, fitted by the surrogates' damped
+    Newton solver with penalty ``LR_L2`` and an unpenalized intercept."""
 
     descriptor = "lr"
 
     def fit(self, features: np.ndarray, labels: np.ndarray, seed: int = 0):
         check_training_set(features, labels)
-        X = np.asarray(features, dtype=np.float64)
-        y = np.asarray(labels, dtype=np.float64)
-        n, d = X.shape
-        self.n_features = d
-        lam = LR_L2 / n
-        w = np.zeros(d)
-        b = 0.0
-        # Gradient Lipschitz constant of the mean logistic loss.
-        lip = 0.25 * (np.linalg.norm(X, 2) ** 2 / n + 1.0) + lam
-        step = 1.0 / lip
-        self.converged = False
-        for _ in range(LR_MAX_ITER):
-            p = _sigmoid(X @ w + b)
-            grad_w = X.T @ (p - y) / n + lam * w
-            grad_b = float(np.mean(p - y))
-            w -= step * grad_w
-            b -= step * grad_b
-            if max(np.max(np.abs(grad_w)), abs(grad_b)) < LR_TOL:
-                self.converged = True
-                break
-        if not self.converged:
-            warnings.warn(
-                f"logistic regression did not reach tol={LR_TOL} within "
-                f"{LR_MAX_ITER} iterations",
-                stacklevel=2,
-            )
-        self.weights = w
-        self.intercept = b
+        self.n_features = features.shape[1]
+        self.weights, self.intercept = weighted_logistic_fit(
+            features, labels, l2=LR_L2
+        )
         return self
 
 

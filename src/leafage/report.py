@@ -137,14 +137,14 @@ def validate_report(report: dict) -> dict:
         )
     instance = report["instance"]
     _check_feature_values(instance, "instance")
-    d = len(instance)
-    if len(report["importances"]) != d:
-        raise DataError("importances must cover every instance feature")
-    ranks = []
-    for entry in report["importances"]:
+    importances = report["importances"]
+    for entry in importances:
         _check_fields(entry, _IMPORTANCE_FIELDS, "importances entry")
-        ranks.append(entry["rank"])
-    if sorted(ranks) != list(range(1, d + 1)):
+    if sorted(e["feature"] for e in importances) != sorted(instance):
+        raise DataError("importances must name each instance feature exactly once")
+    if any(e["value"] != instance[e["feature"]] for e in importances):
+        raise DataError("importance values must equal the instance's")
+    if sorted(e["rank"] for e in importances) != list(range(1, len(instance) + 1)):
         raise DataError("importance ranks must be a permutation of 1..d")
     for section in ("allies", "enemies"):
         for entry in report[section]:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from leafage import cli
+from leafage import cli, models
 from leafage.cli import main
 from leafage.report import load_report
 
@@ -20,6 +20,10 @@ def three_class_csv(path):
         rows.append(f"{rng.normal()},{rng.normal()},{['x','y','z'][i % 3]}")
     path.write_text("\n".join(rows) + "\n")
     return path
+
+
+def must_not_fit(*args, **kwargs):
+    raise AssertionError("a model was trained before the options were checked")
 
 
 def read_results(path):
@@ -168,6 +172,17 @@ class TestExplain:
                     "--instance", 0, "--seed", 0, "--out", out])
         assert code == 0
         assert load_report(str(out))["model"] == model
+
+    @pytest.mark.parametrize("option, value", [("--k", 0), ("--i-small", 1)])
+    def test_out_of_range_config_exit_3_before_training(
+        self, tmp_path, monkeypatch, option, value
+    ):
+        monkeypatch.setattr(models, "fit", must_not_fit)
+        out = tmp_path / "report.json"
+        code = run(["explain", "--train", "ad", "--model", "knn", "--instance", 4,
+                    option, value, "--seed", 1, "--out", out])
+        assert code == 3
+        assert not out.exists()
 
     def test_missing_train_file_exit_3(self, tmp_path):
         code = run(["explain", "--train", tmp_path / "nope.csv", "--model", "knn",
@@ -411,6 +426,17 @@ class TestEvaluateSeeds:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("option, value", [("--i-small", 1), ("--lime-samples", 0)])
+    def test_out_of_range_config_exit_3_before_training(
+        self, tmp_path, monkeypatch, option, value
+    ):
+        monkeypatch.setattr(models, "fit", must_not_fit)
+        out = tmp_path / "r.csv"
+        code = run(self.ARGS + [option, value, "--seed", 0, "--out", out])
+        assert code == 3
+        assert not out.exists()
+
+
 class TestRender:
     def test_render_roundtrip(self, tmp_path):
         report = tmp_path / "report.json"
@@ -436,6 +462,20 @@ class TestRender:
              "--seed", 4, "--out", report])
         doc = json.loads(report.read_text())
         doc["allies"][0]["features"]["x1"] = "oops"
+        report.write_text(json.dumps(doc))
+        assert run(["render", "--report", report, "--out", svg]) == 3
+        assert not svg.exists()
+
+    @pytest.mark.parametrize("field, value", [("feature", "x1"), ("feature", "nope"),
+                                              ("value", 1.382)])
+    def test_render_rejects_misnamed_importance(self, tmp_path, field, value):
+        report = tmp_path / "report.json"
+        svg = tmp_path / "v.svg"
+        run(["explain", "--train", "ad", "--model", "knn", "--instance", 2,
+             "--seed", 4, "--out", report])
+        doc = json.loads(report.read_text())
+        assert doc["instance"]["x2"] != 1.382
+        doc["importances"][1][field] = value
         report.write_text(json.dumps(doc))
         assert run(["render", "--report", report, "--out", svg]) == 3
         assert not svg.exists()

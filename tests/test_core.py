@@ -97,9 +97,9 @@ class TestSampler:
         assert enemies.tolist() == [1, 2, 3, 4]
 
     def test_config_validation(self):
-        with pytest.raises(ExplanationError):
+        with pytest.raises(DataError, match="i_small"):
             LeafageConfig(i_small=1)
-        with pytest.raises(ExplanationError):
+        with pytest.raises(DataError, match="k_examples"):
             LeafageConfig(k_examples=0)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ConstantModel, FixedLinearModel
-from leafage.errors import ExplanationError
+from leafage.errors import DataError, ExplanationError
 from leafage.evaluation import auc
 from leafage.lime import (
     LimeConfig,
@@ -33,7 +33,7 @@ class TestSampling:
         assert np.array_equal(a, b)
 
     def test_n_samples_floor(self):
-        with pytest.raises(ExplanationError, match="below the minimum"):
+        with pytest.raises(DataError, match="below the minimum"):
             lime_sample(2, np.zeros(2), LimeConfig(n_samples=19))
 
 
@@ -200,5 +200,5 @@ class TestQuartile:
         bins = QuartileBins.fit(self.training_rows(d=2))
         with pytest.raises(ExplanationError, match="expected"):
             lime_quartile_fit(ConstantModel(1), bins, np.zeros(3), LimeConfig())
-        with pytest.raises(ExplanationError, match="below the minimum"):
+        with pytest.raises(DataError, match="below the minimum"):
             lime_quartile_fit(ConstantModel(1), bins, np.zeros(2), LimeConfig(n_samples=19))

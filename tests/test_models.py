@@ -32,6 +32,52 @@ def as_dataset(X, y):
     return Dataset(X, y, cols, ["neg", "pos"])
 
 
+def gradient_descent_lr(X, labels, max_iter=1000, tol=1e-6):
+    """Reference lr fit: full-batch gradient descent with a Lipschitz step on
+    the mean logistic loss plus 0.5 * (LR_L2 / n) * ||w||^2."""
+    y = np.asarray(labels, dtype=np.float64)
+    n, d = X.shape
+    lam = linear.LR_L2 / n
+    w = np.zeros(d)
+    b = 0.0
+    step = 1.0 / (0.25 * (np.linalg.norm(X, 2) ** 2 / n + 1.0) + lam)
+    for _ in range(max_iter):
+        p = 1.0 / (1.0 + np.exp(-np.clip(X @ w + b, -35.0, 35.0)))
+        grad_w = X.T @ (p - y) / n + lam * w
+        grad_b = float(np.mean(p - y))
+        w -= step * grad_w
+        b -= step * grad_b
+        if max(np.max(np.abs(grad_w)), abs(grad_b)) < tol:
+            return w, b
+    raise AssertionError("reference gradient descent did not converge")
+
+
+@st.composite
+def lr_training_sets(draw):
+    """Rows on a coarse grid (so some repeat) or spread uniformly, some
+    duplicated under the other label, labelled at random or by a
+    hyperplane (separable)."""
+    d = draw(st.integers(1, 6))
+    n = draw(st.integers(2, 40))
+    if draw(st.booleans()):
+        cell = st.integers(-3, 3).map(float)
+    else:
+        cell = st.floats(-5.0, 5.0)
+    X = np.array(draw(st.lists(st.lists(cell, min_size=d, max_size=d),
+                               min_size=n, max_size=n)), dtype=np.float64)
+    if draw(st.booleans()):
+        normal = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+        y = (X @ normal >= np.median(X @ normal)).astype(np.float64)
+    else:
+        y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                     dtype=np.float64)
+    dup = draw(st.lists(st.integers(0, n - 1), max_size=5))
+    X = np.vstack([X, X[dup]])
+    y = np.concatenate([y, 1.0 - y[dup]])
+    assume(np.unique(y).size == 2)
+    return X, y
+
+
 class TestLinearFamily:
     def test_svm_separable_blobs_perfect(self):
         X, y = separable_blobs()
@@ -40,9 +86,7 @@ class TestLinearFamily:
 
     def test_lr_separable_blobs_perfect(self):
         X, y = separable_blobs(seed=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            model = LogisticRegressionModel().fit(X, y)
+        model = LogisticRegressionModel().fit(X, y)
         assert np.array_equal(model.predict_labels(X), y)
 
     def test_lda_separable_blobs_perfect(self):
@@ -67,13 +111,36 @@ class TestLinearFamily:
                 mid = lam * a + (1 - lam) * c
                 assert (mid @ w + b) == pytest.approx(a @ w + b, abs=1e-9)
 
-    def test_lr_nonconvergence_warns_but_returns(self, monkeypatch):
-        X, y = separable_blobs()
-        monkeypatch.setattr(linear, "LR_MAX_ITER", 3)
-        with pytest.warns(UserWarning, match="did not reach"):
-            model = LogisticRegressionModel().fit(X, y)
-        assert model.weights is not None
-        assert not model.converged
+    @given(lr_training_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_lr_reaches_penalized_optimum(self, case):
+        # Stationarity of the summed logistic loss plus 0.5 * LR_L2 * ||w||^2
+        # with an unpenalized intercept.
+        X, y = case
+        model = LogisticRegressionModel().fit(X, y)
+        w, b = model.weights, model.intercept
+        p = 0.5 * (1.0 + np.tanh(0.5 * (X @ w + b)))
+        tol = 1e-6 * X.shape[0]
+        assert np.all(np.abs(X.T @ (p - y) + linear.LR_L2 * w) <= tol)
+        assert abs(np.sum(p - y)) <= tol
+
+    @pytest.mark.parametrize("n_per_class", [42, 250, 5000])
+    @pytest.mark.parametrize("seed", [0, 1, 29])
+    def test_lr_matches_gradient_descent(self, n_per_class, seed):
+        ds = generate_artificial(n_per_class, seed)
+        model = LogisticRegressionModel().fit(ds.features, ds.labels)
+        w, b = gradient_descent_lr(ds.features, ds.labels)
+        assert np.max(np.abs(model.weights - w)) <= 1e-4
+        assert abs(model.intercept - b) <= 1e-4
+        lo, hi = ds.features.min(axis=0), ds.features.max(axis=0)
+        grid = np.stack(
+            np.meshgrid(np.linspace(lo[0], hi[0], 40), np.linspace(lo[1], hi[1], 50)),
+            axis=-1,
+        ).reshape(-1, 2)
+        for rows in (ds.features, grid):
+            assert np.array_equal(
+                model.predict_labels(rows), (rows @ w + b >= 0.0).astype(np.int64)
+            )
 
 
 class TestTrees:
@@ -319,9 +386,7 @@ class TestFitFactory:
         X, y = separable_blobs(n_per_class=80, seed=4)
         ds = as_dataset(X, y)
         train, test = train_test_split(ds, SplitSpec(seed=0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            model = fit(algorithm, train)
+        model = fit(algorithm, train)
         accuracy = float(np.mean(model.predict_labels(test.features) == test.labels))
         majority = float(np.max(np.bincount(test.labels)) / test.n)
         assert accuracy > majority
@@ -330,9 +395,7 @@ class TestFitFactory:
     def test_linear_models_beat_majority_on_ad(self, algorithm):
         ds = generate_artificial(500, seed=6)
         train, test = train_test_split(ds, SplitSpec(seed=0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            model = fit(algorithm, train)
+        model = fit(algorithm, train)
         accuracy = float(np.mean(model.predict_labels(test.features) == test.labels))
         majority = float(np.max(np.bincount(test.labels)) / test.n)
         assert accuracy > majority
@@ -342,9 +405,7 @@ class TestPredictContract:
     def test_empty_batch(self):
         ds = generate_artificial(10, seed=0)
         for algorithm in models.CANONICAL_ALGORITHMS:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                model = fit(algorithm, ds)
+            model = fit(algorithm, ds)
             out = model.predict_labels(np.empty((0, 2)))
             assert out.shape == (0,), algorithm
             assert out.dtype == np.int64, algorithm

@@ -113,6 +113,19 @@ class TestReportDocument:
         with pytest.raises(DataError, match="must match the instance"):
             validate_report(report)
 
+    @pytest.mark.parametrize("name", ["x1", "nope"])
+    def test_importances_must_name_each_feature_once(self, name):
+        report = reference_report()
+        report["importances"][1]["feature"] = name
+        with pytest.raises(DataError, match="each instance feature exactly once"):
+            validate_report(report)
+
+    def test_importance_value_must_equal_instance(self):
+        report = reference_report()
+        report["importances"][0]["value"] += 1.0
+        with pytest.raises(DataError, match="must equal the instance"):
+            validate_report(report)
+
     def test_wrong_schema_version(self):
         report = reference_report()
         report["schema_version"] = 99
