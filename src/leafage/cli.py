@@ -240,6 +240,9 @@ def cmd_evaluate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         )
     if not 0.0 < args.alpha < 1.0:
         raise DataError("alpha must lie strictly between 0 and 1")
+    for path in filter(None, (args.out, args.table)):
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise DataError(f"cannot write {path}: no such directory")
 
     # Each setting's per-instance AUCs, concatenated in seed order.  Skips
     # are shared by all strategies within a seed, so the pooled vectors of
@@ -306,6 +309,13 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_render(args)
     except DataError as exc:
         print(f"leafage: data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except OSError as exc:  # reads raise DataError, so this is an output
+        print(
+            f"leafage: data error: cannot write {exc.filename or 'output'}: "
+            f"{exc.strerror}",
+            file=sys.stderr,
+        )
         return EXIT_DATA
     except ModelError as exc:
         print(f"leafage: model error: {exc}", file=sys.stderr)

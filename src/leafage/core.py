@@ -62,16 +62,19 @@ class LocalSurrogate:
     """Linear stand-in for the black box near one instance.
 
     ``weights`` and ``intercept`` live in standardized feature space.
-    ``degenerate`` marks surrogates whose fit collapsed (single-class
-    neighbourhood or vanishing weights); their dissimilarity falls back to
-    plain Euclidean distance and their importances are all zero.
+    A surrogate is degenerate when its weights vanish, as a fit to
+    single-class targets does; its dissimilarity then falls back to plain
+    Euclidean distance.
     """
 
     weights: np.ndarray
     intercept: float
     x_border: int | None = None
     local_indices: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        return bool(np.linalg.norm(self.weights) < DEGENERATE_WEIGHT_NORM)
 
     def score(self, rows: np.ndarray) -> np.ndarray:
         return np.asarray(rows, dtype=np.float64) @ self.weights + self.intercept
@@ -160,11 +163,14 @@ def weighted_logistic_fit(
     Minimizes the weighted summed logistic loss plus 0.5 * l2 * ||w||^2;
     the intercept is unpenalized.  Backtracking halves any step that fails
     to decrease the penalized loss, which keeps the solver monotone even
-    on separable data where the optimum norm is large.
+    on separable data where the optimum norm is large.  Single-class
+    targets have no finite optimum and fit all zeros.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     n, d = X.shape
+    if np.unique(y).size < 2:
+        return np.zeros(d), 0.0
     sw = np.ones(n) if sample_weight is None else np.asarray(sample_weight, float)
     Xa = np.hstack([X, np.ones((n, 1))])
     penalty = np.full(d + 1, l2)
@@ -211,29 +217,17 @@ def fit_local_linear(
 ) -> LocalSurrogate:
     """Logistic surrogate on the local subset, targets = model labels.
 
-    Never raises on pathological neighbourhoods: a single-class subset or
-    a vanishing weight vector yields a flagged degenerate surrogate.  The
-    solve is deterministic.
+    Never raises on a non-empty neighbourhood: a single-class subset
+    yields a degenerate surrogate.  The solve is deterministic.
     """
     local_indices = np.asarray(local_indices, dtype=np.int64)
     if local_indices.size == 0:
         raise ExplanationError("local training set is empty")
     X = np.asarray(features, dtype=np.float64)[local_indices]
     y = np.asarray(predicted)[local_indices].astype(np.float64)
-    if np.unique(y).size < 2:
-        return LocalSurrogate(
-            weights=np.zeros(X.shape[1]),
-            intercept=0.0,
-            local_indices=local_indices,
-            degenerate=True,
-        )
     weights, intercept = weighted_logistic_fit(X, y)
-    degenerate = bool(np.linalg.norm(weights) < DEGENERATE_WEIGHT_NORM)
     return LocalSurrogate(
-        weights=weights,
-        intercept=intercept,
-        local_indices=local_indices,
-        degenerate=degenerate,
+        weights=weights, intercept=intercept, local_indices=local_indices
     )
 
 
@@ -265,7 +259,8 @@ def dissimilarities(s: LocalSurrogate, z: np.ndarray, rows: np.ndarray) -> np.nd
 def feature_importances(s: LocalSurrogate, z_std: np.ndarray) -> np.ndarray:
     """Per-feature importance |w_i * z_i| in standardized space.
 
-    Degenerate surrogates report all-zero importances.
+    A degenerate surrogate's importances are near zero, and exactly zero
+    when its weights are.
     """
     z_std = np.asarray(z_std, dtype=np.float64)
     if z_std.shape[0] != s.weights.shape[0]:

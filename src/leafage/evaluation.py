@@ -282,7 +282,7 @@ def run_setting(
         QuartileBins.fit(X_train) if "lime-quartile" in strategies else None
     )
 
-    baseline = LocalSurrogate(np.zeros(test.d), intercept=0.0, degenerate=True)
+    baseline = LocalSurrogate(np.zeros(test.d), intercept=0.0)
     scores = {s: np.full(test.n, np.nan) for s in strategies}
     for i in range(test.n):
         try:

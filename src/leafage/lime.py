@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEGENERATE_WEIGHT_NORM, LocalSurrogate, weighted_logistic_fit
+from .core import LocalSurrogate, weighted_logistic_fit
 from .errors import DataError, ExplanationError
 
 __all__ = [
@@ -86,36 +86,21 @@ def kernel_weights(z: np.ndarray, rows: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(-np.einsum("ij,ij->i", diff, diff) / sigma**2)
 
 
-def _kernel_logistic_fit(
-    rows: np.ndarray, labels: np.ndarray, center: np.ndarray, sigma: float
-) -> tuple[np.ndarray, float, bool]:
-    """Weights, intercept and degenerate flag of the kernel-weighted fit.
-
-    Degenerate when the black box labels every sample identically (then
-    all-zero) or the fitted weights vanish.
-    """
-    labels = np.asarray(labels, dtype=np.float64)
-    if np.unique(labels).size < 2:
-        return np.zeros(rows.shape[1]), 0.0, True
-    weights, intercept = weighted_logistic_fit(
-        rows, labels, sample_weight=kernel_weights(center, rows, sigma)
-    )
-    return weights, intercept, bool(np.linalg.norm(weights) < DEGENERATE_WEIGHT_NORM)
-
-
 def lime_fit(model, z: np.ndarray, cfg: LimeConfig) -> LocalSurrogate:
     """Kernel-weighted logistic surrogate on black-box-labelled samples.
 
-    ``z`` is in standardized space.  Degenerate (flagged) when the black
-    box labels every sample identically.
+    ``z`` is in standardized space.  Degenerate when the black box labels
+    every sample identically.
     """
     z = np.asarray(z, dtype=np.float64)
     d = z.shape[0]
     samples = lime_sample(d, z, cfg)
-    weights, intercept, degenerate = _kernel_logistic_fit(
-        samples, model.predict_labels(samples), z, kernel_width(d)
+    weights, intercept = weighted_logistic_fit(
+        samples,
+        model.predict_labels(samples),
+        sample_weight=kernel_weights(z, samples, kernel_width(d)),
     )
-    return LocalSurrogate(weights=weights, intercept=intercept, degenerate=degenerate)
+    return LocalSurrogate(weights=weights, intercept=intercept)
 
 
 @dataclass(frozen=True)
@@ -235,24 +220,19 @@ def lime_quartile_fit(
     """Quartile-discretized LIME surrogate around standardized ``z``.
 
     Samples come from ``bins``; the kernel measures distance in the binary
-    representation, where ``z`` is all ones.  Degenerate (flagged) when
-    the black box labels every sample identically.
+    representation, where ``z`` is all ones.  Degenerate when the black
+    box labels every sample identically.
     """
     z = _check_instance(z, bins.d)
     cfg.check_n_samples(bins.d)
     codes, samples = bins.sample(cfg.n_samples, np.random.default_rng(cfg.seed))
     z_codes = bins.encode(z[None, :])[0]
     binary = (codes == z_codes).astype(np.float64)
-    weights, intercept, degenerate = _kernel_logistic_fit(
+    weights, intercept = weighted_logistic_fit(
         binary,
         model.predict_labels(samples),
-        np.ones(bins.d),
-        kernel_width(bins.d),
+        sample_weight=kernel_weights(np.ones(bins.d), binary, kernel_width(bins.d)),
     )
     return QuartileSurrogate(
-        weights=weights,
-        intercept=intercept,
-        degenerate=degenerate,
-        bins=bins,
-        z_codes=z_codes,
+        weights=weights, intercept=intercept, bins=bins, z_codes=z_codes
     )

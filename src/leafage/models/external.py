@@ -7,9 +7,11 @@ Wire protocol, one JSON document per line on stdin/stdout:
 
 Labels are binary codes 0/1.  A handle owns its child process: requests
 are serialized (one in flight at a time) and responses are matched to
-requests by order.  A request that times out kills the child, since its
-late reply would otherwise answer the next request; the handle is then
-closed and every later request raises.  The child's stderr goes to an
+requests by order.  An I/O thread writes each request and reads its reply,
+so the timeout bounds the whole exchange, sending included.  A request
+that times out kills the child, since its late reply would otherwise
+answer the next request; the handle is then closed and every later
+request raises.  The child's stderr goes to an
 anonymous temporary file; when the child stops answering, the last 2 KB
 of it are appended to the error.
 """
@@ -29,6 +31,7 @@ from ..errors import ModelError
 from .base import BlackBoxModel, check_matrix
 
 _EOF = object()
+_REFUSED = object()
 _STDERR_TAIL = 2048
 
 
@@ -60,16 +63,23 @@ class ExternalModel(BlackBoxModel):
         except OSError as exc:
             self._stderr.close()
             raise ModelError(f"cannot launch external model {argv!r}: {exc}") from None
-        self._lines: queue.Queue = queue.Queue()
-        self._reader = threading.Thread(target=self._pump, daemon=True)
-        self._reader.start()
+        self._requests: queue.Queue = queue.Queue()
+        self._replies: queue.Queue = queue.Queue()
+        self._io = threading.Thread(target=self._exchange, daemon=True)
+        self._io.start()
         self._lock = threading.Lock()
         self._closed_because: str | None = None
 
-    def _pump(self) -> None:
-        for line in self._proc.stdout:
-            self._lines.put(line)
-        self._lines.put(_EOF)
+    def _exchange(self) -> None:
+        """Write each queued request and queue its reply line, until None."""
+        for request in iter(self._requests.get, None):
+            try:
+                self._proc.stdin.write(request)
+                self._proc.stdin.flush()
+            except (OSError, ValueError):  # a dead child, or stdin closed
+                self._replies.put(_REFUSED)
+                continue
+            self._replies.put(self._proc.stdout.readline() or _EOF)
 
     def _failure(self, message: str) -> ModelError:
         """``message`` plus the last bytes the child wrote to stderr."""
@@ -89,20 +99,16 @@ class ExternalModel(BlackBoxModel):
         with self._lock:
             if self._closed_because is not None:
                 raise ModelError(f"external model is closed: {self._closed_because}")
+            self._requests.put(request + "\n")
             try:
-                self._proc.stdin.write(request + "\n")
-                self._proc.stdin.flush()
-            except (BrokenPipeError, OSError):
-                raise self._failure(
-                    "external model process is not accepting requests"
-                ) from None
-            try:
-                line = self._lines.get(timeout=self.timeout_ms / 1000.0)
+                line = self._replies.get(timeout=self.timeout_ms / 1000.0)
             except queue.Empty:
                 self._proc.kill()
                 self._proc.wait()
                 self._closed_because = f"a request timed out after {self.timeout_ms} ms"
                 raise self._failure(f"external model: {self._closed_because}") from None
+            if line is _REFUSED:
+                raise self._failure("external model process is not accepting requests")
             if line is _EOF:
                 raise self._failure("external model process exited mid-request")
         try:
@@ -121,6 +127,7 @@ class ExternalModel(BlackBoxModel):
 
     def close(self) -> None:
         self._closed_because = self._closed_because or "close() was called"
+        self._requests.put(None)
         try:
             self._proc.stdin.close()
         except OSError:
@@ -130,8 +137,8 @@ class ExternalModel(BlackBoxModel):
         except subprocess.TimeoutExpired:
             self._proc.kill()
             self._proc.wait()
-        self._reader.join(timeout=2)
-        if not self._reader.is_alive():
+        self._io.join(timeout=2)
+        if not self._io.is_alive():
             self._proc.stdout.close()
         self._stderr.close()
 

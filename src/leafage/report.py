@@ -108,6 +108,8 @@ def _check_feature_values(features: dict, where: str) -> None:
 
 
 def _check_fields(obj: dict, spec: dict, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise DataError(f"{where} must be an object")
     unknown = set(obj) - set(spec)
     if unknown:
         raise DataError(f"{where}: unknown fields {sorted(unknown)}")
@@ -127,8 +129,6 @@ def _check_fields(obj: dict, spec: dict, where: str) -> None:
 
 def validate_report(report: dict) -> dict:
     """Strict schema check; rejects unknown fields and non-finite numbers."""
-    if not isinstance(report, dict):
-        raise DataError("report must be a JSON object")
     _check_fields(report, _TOP_LEVEL_FIELDS, "report")
     if report["schema_version"] != SCHEMA_VERSION:
         raise DataError(

@@ -437,6 +437,42 @@ class TestEvaluateSeeds:
         assert not out.exists()
 
 
+class TestUnwritableOutput:
+    MISSING = "no-such-dir"
+
+    def test_gen_ad(self, tmp_path, capsys):
+        out = tmp_path / self.MISSING / "ad.csv"
+        assert run(["gen-ad", "--n-per-class", 10, "--out", out]) == 3
+        err = capsys.readouterr().err.strip()
+        assert err == f"leafage: data error: cannot write {out}: No such file or directory"
+
+    @pytest.mark.parametrize("option", ["--out", "--svg"])
+    def test_explain(self, tmp_path, option):
+        paths = {"--out": tmp_path / "r.json", "--svg": tmp_path / "v.svg"}
+        paths[option] = tmp_path / self.MISSING / "x"
+        code = run(["explain", "--train", "ad", "--model", "knn", "--instance", 2,
+                    "--n-per-class", 30, "--out", paths["--out"],
+                    "--svg", paths["--svg"]])
+        assert code == 3
+
+    def test_render(self, tmp_path):
+        report = tmp_path / "report.json"
+        run(["explain", "--train", "ad", "--model", "knn", "--instance", 2,
+             "--n-per-class", 30, "--out", report])
+        svg = tmp_path / self.MISSING / "v.svg"
+        assert run(["render", "--report", report, "--out", svg]) == 3
+
+    @pytest.mark.parametrize("option", ["--out", "--table"])
+    def test_evaluate_exit_3_before_any_setting(self, tmp_path, monkeypatch, option):
+        monkeypatch.setattr(cli, "run_setting", TestEvaluateSeeds.must_not_run)
+        paths = {"--out": tmp_path / "r.csv", "--table": tmp_path / "t.txt"}
+        paths[option] = tmp_path / self.MISSING / "x"
+        code = run(TestEvaluateSeeds.ARGS + ["--seed", 0, "--out", paths["--out"],
+                                             "--table", paths["--table"]])
+        assert code == 3
+        assert not any(path.exists() for path in paths.values())
+
+
 class TestRender:
     def test_render_roundtrip(self, tmp_path):
         report = tmp_path / "report.json"
@@ -476,6 +512,18 @@ class TestRender:
         doc = json.loads(report.read_text())
         assert doc["instance"]["x2"] != 1.382
         doc["importances"][1][field] = value
+        report.write_text(json.dumps(doc))
+        assert run(["render", "--report", report, "--out", svg]) == 3
+        assert not svg.exists()
+
+    @pytest.mark.parametrize("section, bad", [("allies", 5), ("enemies", None)])
+    def test_render_rejects_non_object_entry(self, tmp_path, section, bad):
+        report = tmp_path / "report.json"
+        svg = tmp_path / "v.svg"
+        run(["explain", "--train", "ad", "--model", "knn", "--instance", 2,
+             "--seed", 4, "--out", report])
+        doc = json.loads(report.read_text())
+        doc[section][0] = bad
         report.write_text(json.dumps(doc))
         assert run(["render", "--report", report, "--out", svg]) == 3
         assert not svg.exists()

@@ -22,8 +22,8 @@ from leafage.data import Dataset, Standardizer, generate_artificial
 from leafage.errors import DataError, ExplanationError, NoEnemiesError
 
 
-def surrogate(w, c=0.0, degenerate=False):
-    return LocalSurrogate(weights=np.asarray(w, float), intercept=c, degenerate=degenerate)
+def surrogate(w, c=0.0):
+    return LocalSurrogate(weights=np.asarray(w, float), intercept=c)
 
 
 class TestClosestEnemy:
@@ -148,6 +148,18 @@ class TestLocalFit:
         cos = w @ true_w / (np.linalg.norm(w) * np.linalg.norm(true_w))
         assert cos > 0.98
 
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_single_class_targets_fit_zeros(self, label, weighted):
+        # No finite optimum exists, so the fit is all zeros rather than an
+        # intercept driven as far as the iteration cap allows.
+        X = np.random.default_rng(7).normal(size=(20, 3))
+        sw = np.linspace(0.1, 1.0, 20) if weighted else None
+        w, c = weighted_logistic_fit(X, np.full(20, label), sample_weight=sw)
+        assert np.array_equal(w, np.zeros(3))
+        assert c == 0.0
+        assert LocalSurrogate(weights=w, intercept=c).degenerate
+
 
 class TestDissimilarity:
     def test_t_equals_z(self):
@@ -169,7 +181,7 @@ class TestDissimilarity:
             dissimilarities(surrogate([1.0, 0.0]), np.zeros(2), np.zeros((1, 3)))
 
     def test_degenerate_falls_back_to_euclidean(self):
-        s = surrogate([0.0, 0.0], degenerate=True)
+        s = surrogate([0.0, 0.0])
         b = dissimilarities(s, np.zeros(2), np.array([[3.0, 4.0]]))
         assert b[0] == pytest.approx(5.0)
 

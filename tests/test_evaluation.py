@@ -253,9 +253,7 @@ class TestLocalFidelity:
         assert auc(labels, s.score(rows)) == 1.0
 
     def test_constant_scores_half(self):
-        s = LocalSurrogate(
-            weights=np.zeros(2), intercept=1.0, degenerate=True
-        )
+        s = LocalSurrogate(weights=np.zeros(2), intercept=1.0)
         rows = np.random.default_rng(0).normal(size=(10, 2))
         labels = np.array([0, 1] * 5)
         assert auc(labels, s.score(rows)) == 0.5

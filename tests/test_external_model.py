@@ -98,6 +98,29 @@ class TestFailureModes:
             with pytest.raises(ModelError, match="timed out"):
                 model.predict_labels(np.array([[1.0]]))
 
+    def test_timeout_covers_sending_the_request(self, tmp_path):
+        # The request overflows the pipe buffer, so writing it blocks until
+        # the child reads; the sleep is bounded so a regression fails
+        # instead of hanging.
+        slow_reader = textwrap.dedent(
+            """
+            import sys, time
+            time.sleep(8)
+            sys.stdin.readline()
+            """
+        )
+        model = ExternalModel(
+            stub_command(tmp_path, slow_reader), n_features=1, timeout_ms=300
+        )
+        start = time.monotonic()
+        with pytest.raises(ModelError, match="timed out"):
+            model.predict_labels(np.zeros((20_000, 1)))
+        assert time.monotonic() - start < 3.0
+        with pytest.raises(ModelError, match="closed"):
+            model.predict_labels(np.zeros((1, 1)))
+        model.close()
+        assert not model._io.is_alive()
+
     def test_late_reply_never_answers_the_next_request(self, tmp_path):
         late_first = textwrap.dedent(
             """

@@ -126,6 +126,14 @@ class TestReportDocument:
         with pytest.raises(DataError, match="must equal the instance"):
             validate_report(report)
 
+    @pytest.mark.parametrize("section, bad", [("importances", "x1"),
+                                              ("allies", 5), ("enemies", None)])
+    def test_entry_must_be_an_object(self, section, bad):
+        report = reference_report()
+        report[section][0] = bad
+        with pytest.raises(DataError, match=f"{section} entry must be an object"):
+            validate_report(report)
+
     def test_wrong_schema_version(self):
         report = reference_report()
         report["schema_version"] = 99
