@@ -194,18 +194,27 @@ def cmd_gen_ad(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_output_dirs(*paths: str | None) -> None:
+    """Fail before any work when an output's directory does not exist."""
+    for path in filter(None, paths):
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise DataError(f"cannot write {path}: no such directory")
+
+
 def cmd_explain(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     cfg = LeafageConfig(i_small=args.i_small, k_examples=args.k, seed=seed)
+    _check_output_dirs(args.out, args.svg)
     ds = _load_dataset(args.train, args.label_column, args.n_per_class, seed)
     z = _parse_instance(parser, ds, args.instance)
     model = models.fit_on_standardized(args.model, ds, seed=seed)
     explanation = explain(model.model, ds, z, cfg, standardizer=model.standardizer)
     report = build_report(explanation, ds, model.model.descriptor, seed=seed)
+    svg = render_svg(report) if args.svg else None
     write_report(report, args.out)
-    if args.svg:
+    if svg is not None:
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_svg(report))
+            fh.write(svg)
     print(f"wrote explanation report to {args.out}")
     return EXIT_OK
 
@@ -240,9 +249,7 @@ def cmd_evaluate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         )
     if not 0.0 < args.alpha < 1.0:
         raise DataError("alpha must lie strictly between 0 and 1")
-    for path in filter(None, (args.out, args.table)):
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise DataError(f"cannot write {path}: no such directory")
+    _check_output_dirs(args.out, args.table)
 
     # Each setting's per-instance AUCs, concatenated in seed order.  Skips
     # are shared by all strategies within a seed, so the pooled vectors of

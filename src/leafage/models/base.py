@@ -43,10 +43,29 @@ def check_matrix(rows: np.ndarray, n_features: int) -> np.ndarray:
     return rows
 
 
-def check_training_set(features: np.ndarray, labels: np.ndarray) -> None:
+def check_training_set(
+    features: np.ndarray, labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a training set; return it as float64 rows and int64 labels.
+
+    The rows must form a finite numeric 2-d array with one binary label
+    per row, both classes present.
+    """
+    try:
+        X = np.asarray(features, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ModelError("training features must be numeric") from None
     labels = np.asarray(labels)
-    if features.shape[0] < 2:
+    if X.ndim != 2:
+        raise ModelError(f"training features must be 2-d, got shape {X.shape}")
+    if labels.shape != (X.shape[0],):
+        raise ModelError(
+            f"{X.shape[0]} training rows but labels of shape {labels.shape}"
+        )
+    if X.shape[0] < 2:
         raise ModelError("need at least 2 training rows")
+    if not np.isfinite(X).all():
+        raise ModelError("training features must be finite (no NaN or infinity)")
     codes = np.unique(labels)
     if not np.isin(codes, (0, 1)).all():
         raise ModelError(
@@ -55,3 +74,4 @@ def check_training_set(features: np.ndarray, labels: np.ndarray) -> None:
         )
     if codes.size < 2:
         raise ModelError("training set contains a single class")
+    return X, labels.astype(np.int64, copy=False)

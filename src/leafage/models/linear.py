@@ -47,11 +47,9 @@ class LogisticRegressionModel(LinearBinaryModel):
     descriptor = "lr"
 
     def fit(self, features: np.ndarray, labels: np.ndarray, seed: int = 0):
-        check_training_set(features, labels)
-        self.n_features = features.shape[1]
-        self.weights, self.intercept = weighted_logistic_fit(
-            features, labels, l2=LR_L2
-        )
+        X, y = check_training_set(features, labels)
+        self.n_features = X.shape[1]
+        self.weights, self.intercept = weighted_logistic_fit(X, y, l2=LR_L2)
         return self
 
 
@@ -62,9 +60,8 @@ class LinearSVMModel(LinearBinaryModel):
     descriptor = "svm"
 
     def fit(self, features: np.ndarray, labels: np.ndarray, seed: int = 0):
-        check_training_set(features, labels)
-        X = np.asarray(features, dtype=np.float64)
-        m = np.where(np.asarray(labels) == 1, 1.0, -1.0)
+        X, y = check_training_set(features, labels)
+        m = np.where(y == 1, 1.0, -1.0)
         n, d = X.shape
         self.n_features = d
         lam = 1.0 / (SVM_C * n)
@@ -100,9 +97,7 @@ class LDAModel(LinearBinaryModel):
     descriptor = "lda"
 
     def fit(self, features: np.ndarray, labels: np.ndarray, seed: int = 0):
-        check_training_set(features, labels)
-        X = np.asarray(features, dtype=np.float64)
-        y = np.asarray(labels, dtype=np.int64)
+        X, y = check_training_set(features, labels)
         n, d = X.shape
         self.n_features = d
         x0 = X[y == 0]

@@ -26,9 +26,7 @@ class KNearestModel(BlackBoxModel):
         self._labels: np.ndarray | None = None
 
     def fit(self, features: np.ndarray, labels: np.ndarray, seed: int = 0):
-        check_training_set(features, labels)
-        self._train = np.asarray(features, dtype=np.float64)
-        self._labels = np.asarray(labels, dtype=np.int64)
+        self._train, self._labels = check_training_set(features, labels)
         self.n_features = self._train.shape[1]
         return self
 

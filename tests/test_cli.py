@@ -454,6 +454,7 @@ class TestUnwritableOutput:
                     "--n-per-class", 30, "--out", paths["--out"],
                     "--svg", paths["--svg"]])
         assert code == 3
+        assert not any(path.exists() for path in paths.values())
 
     def test_render(self, tmp_path):
         report = tmp_path / "report.json"

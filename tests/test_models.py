@@ -1,7 +1,9 @@
+import math
 import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -23,7 +25,7 @@ from leafage.models import (
     RandomForestModel,
     fit,
 )
-from leafage.models import linear
+from leafage.models import linear, tree
 from leafage.models.neighbors import BLOCK_ELEMENTS
 
 
@@ -212,6 +214,101 @@ class TestTrees:
         assert np.array_equal(a.predict_labels(grid), b.predict_labels(grid))
 
 
+def thresholds(model):
+    return [float(t) for trained in model._trees
+            for t in trained.threshold[trained.feature >= 0]]
+
+
+@st.composite
+def tree_training_sets(draw):
+    """rf or dt on 2-40 rows of d = 1-4 features drawn from a few values
+    (so rows and values repeat), both labels present."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 40))
+    values = draw(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=6))
+    row = st.lists(st.sampled_from(values), min_size=d, max_size=d)
+    X = np.array(draw(st.lists(row, min_size=n, max_size=n)), dtype=np.float64)
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    y[:2] = [0, 1]
+    algorithm = draw(st.sampled_from(["rf", "dt"]))
+    seed = draw(st.integers(0, 2**16))
+    return algorithm, X, y, seed
+
+
+class TestThresholdGrid:
+    """The grid lookup of ``predict_scores`` against ``_traverse``, which
+    routes every row through every tree's nodes."""
+
+    @given(tree_training_sets(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_scores_equal_traversal_bit_for_bit(self, case, data):
+        algorithm, X, y, seed = case
+        model = models.ALGORITHMS[algorithm]().fit(X, y, seed=seed)
+        assert model._table is not None
+        # Rows on thresholds, on training values, on signed zeros and
+        # non-finite values, and anywhere between.
+        pool = thresholds(model) + X.ravel().tolist()
+        pool += [0.0, -0.0, np.inf, -np.inf, np.nan]
+        value = st.one_of(st.sampled_from(pool), st.floats(-5.0, 5.0))
+        d = X.shape[1]
+        rows = np.array(data.draw(st.lists(st.lists(value, min_size=d, max_size=d),
+                                           min_size=1, max_size=30)), dtype=np.float64)
+        rows = np.vstack([rows, rows[::-1]])
+        assert np.array_equal(model.predict_scores(rows), model._traverse(rows))
+
+    @pytest.mark.parametrize("algorithm", ["rf", "dt"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_empty_batch(self, monkeypatch, algorithm, d):
+        X = np.random.default_rng(d).normal(size=(40, d))
+        y = np.arange(40) % 2
+        for cap in (tree.GRID_MAX_CELLS, 0):
+            monkeypatch.setattr(tree, "GRID_MAX_CELLS", cap)
+            model = models.ALGORITHMS[algorithm]().fit(X, y)
+            assert (model._table is None) == (cap == 0)
+            out = model.predict_scores(np.empty((0, d)))
+            assert out.dtype == np.float64 and out.shape == (0,)
+
+    @pytest.mark.parametrize("algorithm", ["rf", "dt"])
+    def test_forest_over_the_cap_traverses(self, monkeypatch, algorithm):
+        ds = generate_artificial(100, seed=4)
+        gridded = models.ALGORITHMS[algorithm]().fit(ds.features, ds.labels, seed=3)
+        cells = gridded._table.size
+        monkeypatch.setattr(tree, "GRID_MAX_CELLS", cells - 1)
+        traversed = models.ALGORITHMS[algorithm]().fit(ds.features, ds.labels, seed=3)
+        assert traversed._table is None
+        rng = np.random.default_rng(5)
+        rows = rng.normal(size=(2000, 2)) * 2.0
+        rows[:500] = rng.choice(thresholds(gridded), size=(500, 2))
+        rows[100:110] = np.nan
+        rows[110:120] = np.inf
+        assert np.array_equal(
+            traversed.predict_scores(rows), gridded.predict_scores(rows)
+        )
+
+    def test_no_split_forest_is_one_cell(self):
+        model = DecisionTreeModel().fit(np.ones((4, 2)), [0, 1, 1, 0])
+        assert model._table.size == 1
+        assert np.array_equal(model.predict_scores(np.zeros((3, 2))), np.full(3, 0.5))
+
+    def test_cap_check_neither_allocates_nor_overflows(self):
+        # 30 features, each cut by dozens of thresholds: the cell count
+        # overflows int64 many times over.
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(400, 30))
+        y = rng.integers(0, 2, size=400)
+        tracemalloc.start()
+        try:
+            model = RandomForestModel().fit(X, y, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        sizes = [e.size + 1 for _, e in tree._grid_edges(model._trees)]
+        assert len(sizes) == 30
+        assert math.prod(sizes) > 2**63
+        assert model._table is None
+        assert peak < tree.GRID_MAX_CELLS * 8
+
+
 class TestKNN:
     def test_training_rows_recovered(self):
         ds = generate_artificial(100, seed=1)
@@ -375,6 +472,21 @@ class TestFitFactory:
         ds = Dataset(X, y, ["a", "b"], ["x", "y", "z"])
         with pytest.raises(ModelError, match="one-vs-rest"):
             fit(algorithm, ds)
+
+    @pytest.mark.parametrize("algorithm", models.CANONICAL_ALGORITHMS)
+    @pytest.mark.parametrize("features, labels, message", [
+        ([[0.0], [1.0], [np.nan], [3.0]], [0, 1, 0, 1], "finite"),
+        ([[0.0], [np.inf], [2.0], [3.0]], [0, 1, 0, 1], "finite"),
+        ([[0.0, -np.inf], [1.0, 0.0], [2.0, 1.0]], [0, 1, 0], "finite"),
+        ([0.0, 1.0, 2.0, 3.0], [0, 1, 0, 1], "2-d"),
+        (np.zeros((4, 1, 1)), [0, 1, 0, 1], "2-d"),
+        ([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0], "labels of shape"),
+        ([[0.0], [1.0], [2.0]], [0, 1, 0, 1], "labels of shape"),
+        ([["a"], ["b"], ["c"]], [0, 1, 0], "numeric"),
+    ])
+    def test_bad_training_input_rejected(self, algorithm, features, labels, message):
+        with pytest.raises(ModelError, match=message):
+            models.ALGORITHMS[algorithm]().fit(features, labels)
 
     def test_bad_hyperparams(self):
         ds = generate_artificial(10, seed=0)
