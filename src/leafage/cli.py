@@ -76,7 +76,7 @@ def _load_dataset(
 ) -> Dataset:
     if token == "ad":
         return generate_artificial(n_per_class, seed)
-    return load_csv(token, label_column, name=token)
+    return load_csv(token, label_column)
 
 
 def _comma_list(text: str) -> list[str]:

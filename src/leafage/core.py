@@ -148,10 +148,6 @@ def sample_local_training_set(
     return np.sort(np.concatenate(picked))
 
 
-def _stable_nll(z_lin: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, z_lin) - y * z_lin
-
-
 def weighted_logistic_fit(
     features: np.ndarray,
     targets: np.ndarray,
@@ -172,22 +168,22 @@ def weighted_logistic_fit(
     if np.unique(y).size < 2:
         return np.zeros(d), 0.0
     sw = np.ones(n) if sample_weight is None else np.asarray(sample_weight, float)
-    Xa = np.hstack([X, np.ones((n, 1))])
+    Xa = np.empty((n, d + 1))
+    Xa[:, :d] = X
+    Xa[:, d] = 1.0
     penalty = np.full(d + 1, l2)
     penalty[d] = 0.0
+    ridge = np.diag(penalty)
     beta = np.zeros(d + 1)
-
-    def loss(b: np.ndarray) -> float:
-        z_lin = Xa @ b
-        return float(sw @ _stable_nll(z_lin, y) + 0.5 * l2 * (b[:d] @ b[:d]))
-
-    current = loss(beta)
+    # z_lin is the current iterate's linear term, carried over from the
+    # line search.  At beta = 0 every row's loss is log(2), the penalty 0.
+    z_lin = Xa @ beta
+    current = float(sw @ np.full(n, np.log(2.0)))
     for _ in range(SURROGATE_MAX_ITER):
-        z_lin = np.clip(Xa @ beta, -35.0, 35.0)
-        p = 1.0 / (1.0 + np.exp(-z_lin))
+        p = 1.0 / (1.0 + np.exp(-np.clip(z_lin, -35.0, 35.0)))
         grad = Xa.T @ (sw * (p - y)) + penalty * beta
         curvature = sw * p * (1.0 - p)
-        hess = (Xa * curvature[:, None]).T @ Xa + np.diag(penalty)
+        hess = (Xa * curvature[:, None]).T @ Xa + ridge
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -196,15 +192,18 @@ def weighted_logistic_fit(
         scale = 1.0
         for _ in range(30):
             candidate = beta - scale * step
-            new = loss(candidate)
+            z_new = Xa @ candidate
+            new = float(
+                sw @ (np.logaddexp(0.0, z_new) - y * z_new)
+                + 0.5 * l2 * (candidate[:d] @ candidate[:d])
+            )
             if new <= current:
                 break
             scale *= 0.5
         else:
             break
         moved = scale * np.max(np.abs(step))
-        beta = candidate
-        current = new
+        beta, z_lin, current = candidate, z_new, new
         if moved < SURROGATE_TOL:
             break
     return beta[:d], float(beta[d])

@@ -86,34 +86,25 @@ class Dataset:
 class Standardizer:
     """Per-column z-score transform fitted on training rows.
 
-    Constant columns (zero standard deviation) are flagged and divided by
-    1 instead, so the transform is always invertible.
+    Constant columns (zero standard deviation) get a scale of 1, so they
+    standardize to 0 instead of dividing by zero.
     """
 
     means: np.ndarray
-    std_devs: np.ndarray
-    constant: np.ndarray
+    scales: np.ndarray
 
     @classmethod
     def fit(cls, features: np.ndarray) -> "Standardizer":
         features = np.asarray(features, dtype=np.float64)
         means = features.mean(axis=0)
         stds = features.std(axis=0)
-        constant = stds == 0.0
+        scales = np.where(stds == 0.0, 1.0, stds)
         means.setflags(write=False)
-        stds.setflags(write=False)
-        constant.setflags(write=False)
-        return cls(means=means, std_devs=stds, constant=constant)
-
-    @property
-    def divisors(self) -> np.ndarray:
-        return np.where(self.constant, 1.0, self.std_devs)
+        scales.setflags(write=False)
+        return cls(means=means, scales=scales)
 
     def transform(self, features: np.ndarray) -> np.ndarray:
-        return (np.asarray(features, dtype=np.float64) - self.means) / self.divisors
-
-    def inverse(self, features: np.ndarray) -> np.ndarray:
-        return np.asarray(features, dtype=np.float64) * self.divisors + self.means
+        return (np.asarray(features, dtype=np.float64) - self.means) / self.scales
 
 
 @dataclass(frozen=True)
@@ -143,8 +134,8 @@ def _parse_cell(text: str, row: int, column: str) -> float:
     return value
 
 
-def load_csv(path: str, label_column: str, name: str = "") -> Dataset:
-    """Load a headered, numeric CSV into a Dataset.
+def load_csv(path: str, label_column: str) -> Dataset:
+    """Load a headered, numeric CSV into a Dataset named by its path.
 
     Every column except ``label_column`` must parse as a finite real
     number; label values are kept verbatim as class names (sorted for
@@ -198,7 +189,7 @@ def load_csv(path: str, label_column: str, name: str = "") -> Dataset:
         labels=labels,
         column_names=feature_names,
         class_names=class_names,
-        name=name or path,
+        name=path,
     )
 
 

@@ -5,15 +5,15 @@ Wire protocol, one JSON document per line on stdin/stdout:
     request:  {"op": "predict", "instances": [[f64, ...], ...]}
     response: {"labels": [int, ...]}
 
-Labels are binary codes 0/1.  A handle owns its child process: requests
-are serialized (one in flight at a time) and responses are matched to
-requests by order.  An I/O thread writes each request and reads its reply,
-so the timeout bounds the whole exchange, sending included.  A request
-that times out kills the child, since its late reply would otherwise
-answer the next request; the handle is then closed and every later
-request raises.  The child's stderr goes to an
-anonymous temporary file; when the child stops answering, the last 2 KB
-of it are appended to the error.
+Labels are the integers 0 and 1; ``true`` and ``false`` are refused.  A
+handle owns its child process: requests are serialized (one in flight at
+a time) and responses are matched to requests by order.  An I/O thread
+writes each request and reads its reply, so the timeout bounds the whole
+exchange, sending included.  A request that times out kills the child,
+since its late reply would otherwise answer the next request; the handle
+is then closed and every later request raises.  The child's stderr goes
+to an anonymous temporary file; when the child stops answering, the last
+2 KB of it are appended to the error.
 """
 from __future__ import annotations
 
@@ -93,9 +93,7 @@ class ExternalModel(BlackBoxModel):
 
     def predict_labels(self, rows: np.ndarray) -> np.ndarray:
         rows = check_matrix(rows, self.n_features)
-        request = json.dumps(
-            {"op": "predict", "instances": [list(map(float, r)) for r in rows]}
-        )
+        request = json.dumps({"op": "predict", "instances": rows.tolist()})
         with self._lock:
             if self._closed_because is not None:
                 raise ModelError(f"external model is closed: {self._closed_because}")
@@ -121,7 +119,7 @@ class ExternalModel(BlackBoxModel):
                 f"external model response must carry {rows.shape[0]} labels, "
                 f"got: {line!r}"
             )
-        if not all(isinstance(v, int) and v in (0, 1) for v in labels):
+        if not all(type(v) is int and v in (0, 1) for v in labels):
             raise ModelError(f"external model labels must be 0/1 ints, got: {line!r}")
         return np.asarray(labels, dtype=np.int64)
 

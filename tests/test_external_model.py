@@ -153,16 +153,20 @@ class TestFailureModes:
             ExternalModel(["/nonexistent/binary"], n_features=1)
 
     def test_non_binary_labels_rejected(self, tmp_path):
+        # 7 is no 0/1 code, and JSON booleans are not integers.
         weird = textwrap.dedent(
             """
-            import json, sys
+            import sys
+            replies = iter(["[7]", "[true]", "[false]"])
             for line in sys.stdin:
-                print(json.dumps({"labels": [7]}), flush=True)
+                print('{"labels": %s}' % next(replies), flush=True)
             """
         )
         with ExternalModel(stub_command(tmp_path, weird), n_features=1) as model:
-            with pytest.raises(ModelError, match="0/1"):
-                model.predict_labels(np.array([[1.0]]))
+            for reply in ("[7]", "[true]", "[false]"):
+                with pytest.raises(ModelError, match="0/1") as exc:
+                    model.predict_labels(np.array([[1.0]]))
+                assert reply in str(exc.value)
 
     def test_crash_reports_stderr_tail(self, tmp_path):
         crashing = textwrap.dedent(

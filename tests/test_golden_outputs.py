@@ -1,16 +1,20 @@
 """Byte-level goldens for the CLI outputs of every reference classifier.
 
-The default fidelity protocol run on ``ad`` with seed 0, a small run of
-all four strategies over the six black boxes, and one ``explain`` report
-per black box are compared with files under ``tests/golden/``.  Set
+The default fidelity protocol run on ``ad`` with seed 0 (also with numpy's
+AVX-512 kernels switched off), a small run of all four strategies over the
+six black boxes, and one ``explain`` report per black box are compared
+with files under ``tests/golden/``.  Set
 ``GOLDEN_UPDATE=1`` to rewrite them; do so only for a change that is meant
 to alter the outputs.
 """
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import leafage
 from leafage.cli import main
 from leafage.models import CANONICAL_ALGORITHMS
 
@@ -48,6 +52,30 @@ def test_evaluate_default_protocol(tmp_path):
     assert code == 0
     check_golden(out, "evaluate_ad_seed0.csv")
     check_golden(table, "evaluate_ad_seed0.txt")
+
+
+def test_evaluate_default_protocol_without_avx512(tmp_path):
+    # numpy picks its SIMD kernels (np.exp among them) at import; the
+    # protocol's bytes must not depend on the AVX-512 ones.
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    avx512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+    disabled = [f for f in avx512 if __cpu_features__.get(f)]
+    if not disabled:
+        pytest.skip("this CPU runs none of numpy's AVX-512 kernels")
+    src = str(Path(leafage.__file__).parents[1])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(disabled))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "results.csv"
+    table = tmp_path / "results.txt"
+    run = subprocess.run(
+        [sys.executable, "-m", "leafage.cli", "evaluate", "--datasets", "ad",
+         "--seed", "0", "--out", str(out), "--table", str(table)],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert run.returncode == 0, run.stderr
+    assert out.read_bytes() == (GOLDEN_DIR / "evaluate_ad_seed0.csv").read_bytes()
+    assert table.read_bytes() == (GOLDEN_DIR / "evaluate_ad_seed0.txt").read_bytes()
 
 
 @pytest.mark.parametrize("model", CANONICAL_ALGORITHMS)
