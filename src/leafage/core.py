@@ -193,8 +193,9 @@ def weighted_logistic_fit(
         for _ in range(30):
             candidate = beta - scale * step
             z_new = Xa @ candidate
+            softplus = np.maximum(z_new, 0.0) + np.log1p(np.exp(-np.abs(z_new)))
             new = float(
-                sw @ (np.logaddexp(0.0, z_new) - y * z_new)
+                sw @ (softplus - y * z_new)
                 + 0.5 * l2 * (candidate[:d] @ candidate[:d])
             )
             if new <= current:

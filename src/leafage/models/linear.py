@@ -9,6 +9,8 @@ module constants below.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..core import weighted_logistic_fit
@@ -69,17 +71,17 @@ class LinearSVMModel(LinearBinaryModel):
         b = 0.0
         w_avg = np.zeros(d)
         b_avg = 0.0
+        signed = m[:, None] * X
+        limit = 1.0 / np.sqrt(lam)
         for t in range(1, SVM_MAX_ITER + 1):
-            margins = m * (X @ w + b)
-            active = margins < 1.0
-            grad_w = lam * w - (m[active, None] * X[active]).sum(axis=0) / n
+            active = m * (X @ w + b) < 1.0
+            grad_w = lam * w - signed[active].sum(axis=0) / n
             grad_b = -float(m[active].sum()) / n
             eta = 1.0 / (lam * (t + 1))
             w -= eta * grad_w
             b -= eta * grad_b
             # Pegasos projection onto the ball containing the optimum.
-            norm = np.linalg.norm(w)
-            limit = 1.0 / np.sqrt(lam)
+            norm = math.sqrt(w @ w)
             if norm > limit:
                 w *= limit / norm
             w_avg += (w - w_avg) / t

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FixedLinearModel
-from leafage import models
+from leafage import lime, models
 from leafage.core import (
     SURROGATE_L2,
     Example,
@@ -175,6 +175,19 @@ def random_two_class(seed, weighted):
     return X, y, sw
 
 
+def lime_size_two_class(seed):
+    """A LIME fit's shape: 5,000 standard-normal rows of 2-4 features,
+    labels from a fixed linear rule plus logistic noise, kernel weights
+    around one row."""
+    rng = np.random.default_rng(seed)
+    d = 2 + seed % 3
+    X = rng.normal(size=(5000, d))
+    rule = np.linspace(1.0, -0.5, d)
+    y = (X @ rule + 0.3 + 0.5 * rng.logistic(size=5000) > 0).astype(float)
+    sw = lime.kernel_weights(X[0], X, lime.kernel_width(d))
+    return X, y, sw
+
+
 def penalized_loss_and_gradient(beta, X, y, sw):
     """The objective weighted_logistic_fit minimizes, written independently."""
     d = X.shape[1]
@@ -187,29 +200,43 @@ def penalized_loss_and_gradient(beta, X, y, sw):
     return loss, grad
 
 
+def check_gradient_vanishes(X, y, sw, weighted):
+    w, b = weighted_logistic_fit(X, y, sample_weight=sw if weighted else None)
+    _, grad = penalized_loss_and_gradient(np.append(w, b), X, y, sw)
+    assert np.max(np.abs(grad)) <= 1e-6 * sw.sum()
+
+
+def check_matches_scipy_minimize(X, y, sw, weighted):
+    optimize = pytest.importorskip("scipy.optimize")
+    w, b = weighted_logistic_fit(X, y, sample_weight=sw if weighted else None)
+    ours, _ = penalized_loss_and_gradient(np.append(w, b), X, y, sw)
+    reference = optimize.minimize(
+        penalized_loss_and_gradient, np.zeros(X.shape[1] + 1),
+        args=(X, y, sw), jac=True, method="BFGS", options={"gtol": 1e-10},
+    )
+    assert ours <= reference.fun + 1e-9 * (1.0 + abs(reference.fun))
+    scale = 1.0 + np.max(np.abs(reference.x))
+    assert np.allclose(np.append(w, b), reference.x, rtol=0, atol=1e-5 * scale)
+
+
 class TestSolverOptimum:
     @given(st.integers(min_value=0, max_value=10_000), st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_gradient_vanishes(self, seed, weighted):
-        X, y, sw = random_two_class(seed, weighted)
-        w, b = weighted_logistic_fit(X, y, sample_weight=sw if weighted else None)
-        _, grad = penalized_loss_and_gradient(np.append(w, b), X, y, sw)
-        assert np.max(np.abs(grad)) <= 1e-6 * sw.sum()
+        check_gradient_vanishes(*random_two_class(seed, weighted), weighted)
 
     def test_matches_scipy_minimize(self):
-        optimize = pytest.importorskip("scipy.optimize")
         for seed in range(40):
             weighted = seed % 2 == 1
-            X, y, sw = random_two_class(seed, weighted)
-            w, b = weighted_logistic_fit(X, y, sample_weight=sw if weighted else None)
-            ours, _ = penalized_loss_and_gradient(np.append(w, b), X, y, sw)
-            reference = optimize.minimize(
-                penalized_loss_and_gradient, np.zeros(X.shape[1] + 1),
-                args=(X, y, sw), jac=True, method="BFGS", options={"gtol": 1e-10},
-            )
-            assert ours <= reference.fun + 1e-9 * (1.0 + abs(reference.fun))
-            scale = 1.0 + np.max(np.abs(reference.x))
-            assert np.allclose(np.append(w, b), reference.x, rtol=0, atol=1e-5 * scale)
+            check_matches_scipy_minimize(*random_two_class(seed, weighted), weighted)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lime_size_gradient_vanishes(self, seed):
+        check_gradient_vanishes(*lime_size_two_class(seed), weighted=True)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lime_size_matches_scipy_minimize(self, seed):
+        check_matches_scipy_minimize(*lime_size_two_class(seed), weighted=True)
 
 
 class TestDissimilarity:

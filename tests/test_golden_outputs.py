@@ -1,9 +1,9 @@
 """Byte-level goldens for the CLI outputs of every reference classifier.
 
 The default fidelity protocol run on ``ad`` with seed 0 (also with numpy's
-AVX-512 kernels switched off), a small run of all four strategies over the
-six black boxes, and one ``explain`` report per black box are compared
-with files under ``tests/golden/``.  Set
+AVX-512 kernels, and then every dispatched kernel, switched off), a small
+run of all four strategies over the six black boxes, and one ``explain``
+report per black box are compared with files under ``tests/golden/``.  Set
 ``GOLDEN_UPDATE=1`` to rewrite them; do so only for a change that is meant
 to alter the outputs.
 """
@@ -13,6 +13,11 @@ import sys
 from pathlib import Path
 
 import pytest
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 import leafage
 from leafage.cli import main
@@ -54,15 +59,18 @@ def test_evaluate_default_protocol(tmp_path):
     check_golden(table, "evaluate_ad_seed0.txt")
 
 
-def test_evaluate_default_protocol_without_avx512(tmp_path):
+@pytest.mark.parametrize(
+    "targets",
+    [("X86_V4", "AVX512_ICL", "AVX512_SPR"), tuple(__cpu_dispatch__)],
+    ids=["avx512", "baseline"],
+)
+def test_evaluate_default_protocol_without_avx512(tmp_path, targets):
     # numpy picks its SIMD kernels (np.exp among them) at import; the
-    # protocol's bytes must not depend on the AVX-512 ones.
-    from numpy._core._multiarray_umath import __cpu_features__
-
-    avx512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
-    disabled = [f for f in avx512 if __cpu_features__.get(f)]
+    # protocol's bytes must depend neither on the AVX-512 ones nor on any
+    # kernel above the build's baseline.
+    disabled = [f for f in targets if __cpu_features__.get(f)]
     if not disabled:
-        pytest.skip("this CPU runs none of numpy's AVX-512 kernels")
+        pytest.skip("this CPU runs none of these dispatch targets")
     src = str(Path(leafage.__file__).parents[1])
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(disabled))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
