@@ -3,9 +3,10 @@
 ``fit`` is the single entry point used by the CLI and evaluation harness;
 it resolves one of the six algorithm names and returns a model trained in
 that algorithm's one fixed configuration.  Trained classifiers are
-immutable and safe to share across threads for prediction; an
-ExternalModel handle is the one exception (single owner, one request in
-flight).
+immutable and safe to share across threads for prediction: ``fit`` copies
+the training rows and labels, so later changes to the caller's arrays do
+not reach the model.  An ExternalModel handle is the one exception
+(single owner, one request in flight).
 """
 from __future__ import annotations
 

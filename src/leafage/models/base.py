@@ -2,9 +2,10 @@
 
 A model is queried only through ``predict_labels``; everything downstream
 (neighbourhood sampling, surrogate fitting, fidelity scoring) treats it as
-opaque.  The linear and tree models also expose a real-valued
-``predict_scores`` of their own, which the explanation pipeline never
-calls.
+opaque.  The in-process models derive from ``TrainedModel``, which labels
+their training rows once in ``fit``.  The linear and tree models also
+expose a real-valued ``predict_scores`` of their own, which the
+explanation pipeline never calls.
 """
 from __future__ import annotations
 
@@ -30,8 +31,56 @@ class BlackBoxModel(abc.ABC):
         """Predicted class code (int64, one per row)."""
 
 
+class TrainedModel(BlackBoxModel):
+    """A black box trained in process, which labels its training rows once.
+
+    ``fit`` validates and copies the training set, calls the subclass's
+    ``_train`` and stores the training rows' predicted labels.  Every
+    explanation labels the whole training set again, so a batch bitwise
+    equal to the training rows gets those labels back; any other batch,
+    including one that differs only by a signed zero, goes to the
+    subclass's ``_predict``.
+    """
+
+    n_features: int = 0
+    _fit_rows: np.ndarray | None = None
+    _fit_labels: np.ndarray | None = None
+
+    def fit(self, features: np.ndarray, labels: np.ndarray, seed: int = 0):
+        X, y = check_training_set(features, labels)
+        X.flags.writeable = False
+        y.flags.writeable = False
+        self.n_features = X.shape[1]
+        self._train(X, y, seed)
+        self._fit_rows = X
+        self._fit_labels = self._predict(X)
+        return self
+
+    def predict_labels(self, rows: np.ndarray) -> np.ndarray:
+        rows = check_matrix(rows, self.n_features)
+        fit_rows = self._fit_rows
+        if rows.shape == fit_rows.shape and np.array_equal(
+            rows.view(np.uint64), fit_rows.view(np.uint64)
+        ):
+            return self._fit_labels.copy()
+        return self._predict(rows)
+
+    @abc.abstractmethod
+    def _train(self, X: np.ndarray, y: np.ndarray, seed: int) -> None:
+        """Train on validated, read-only float64 rows and int64 labels."""
+
+    @abc.abstractmethod
+    def _predict(self, rows: np.ndarray) -> np.ndarray:
+        """Predicted class code of each row of a validated batch."""
+
+
 def check_matrix(rows: np.ndarray, n_features: int) -> np.ndarray:
-    """Validate a prediction batch against the trained dimension."""
+    """Validate a prediction batch against the trained dimension; return
+    it as C-ordered float64 rows.
+
+    BLAS rounds a product over a Fortran-ordered batch differently, so a
+    row on a linear model's boundary could change label with the layout.
+    """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2:
         raise ModelError(f"expected a 2-d batch of rows, got shape {rows.shape}")
@@ -40,19 +89,20 @@ def check_matrix(rows: np.ndarray, n_features: int) -> np.ndarray:
             f"dimension mismatch: model trained on {n_features} features, "
             f"batch has {rows.shape[1]}"
         )
-    return rows
+    return np.ascontiguousarray(rows)
 
 
 def check_training_set(
     features: np.ndarray, labels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a training set; return it as float64 rows and int64 labels.
+    """Validate a training set; return copies of it as float64 rows and
+    int64 labels.
 
     The rows must form a finite numeric 2-d array with one binary label
     per row, both classes present.
     """
     try:
-        X = np.asarray(features, dtype=np.float64)
+        X = np.array(features, dtype=np.float64)
     except (TypeError, ValueError):
         raise ModelError("training features must be numeric") from None
     labels = np.asarray(labels)
@@ -74,4 +124,4 @@ def check_training_set(
         )
     if codes.size < 2:
         raise ModelError("training set contains a single class")
-    return X, labels.astype(np.int64, copy=False)
+    return X, labels.astype(np.int64)

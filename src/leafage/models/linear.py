@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from ..core import weighted_logistic_fit
-from .base import BlackBoxModel, check_matrix, check_training_set
+from .base import TrainedModel, check_matrix
 
 # Logistic regression: L2 penalty on the summed logistic loss (the same
 # objective as LR_L2 / n on the mean loss).
@@ -26,19 +26,18 @@ SVM_MAX_ITER = 2000
 LDA_RIDGE = 1e-6
 
 
-class LinearBinaryModel(BlackBoxModel):
+class LinearBinaryModel(TrainedModel):
     """Common prediction plumbing for models with an exposed hyperplane."""
 
     def __init__(self) -> None:
         self.weights: np.ndarray | None = None
         self.intercept: float = 0.0
-        self.n_features: int = 0
 
     def predict_scores(self, rows: np.ndarray) -> np.ndarray:
         rows = check_matrix(rows, self.n_features)
         return rows @ self.weights + self.intercept
 
-    def predict_labels(self, rows: np.ndarray) -> np.ndarray:
+    def _predict(self, rows: np.ndarray) -> np.ndarray:
         return (self.predict_scores(rows) >= 0.0).astype(np.int64)
 
 
@@ -48,11 +47,8 @@ class LogisticRegressionModel(LinearBinaryModel):
 
     descriptor = "lr"
 
-    def fit(self, features: np.ndarray, labels: np.ndarray, seed: int = 0):
-        X, y = check_training_set(features, labels)
-        self.n_features = X.shape[1]
+    def _train(self, X: np.ndarray, y: np.ndarray, seed: int) -> None:
         self.weights, self.intercept = weighted_logistic_fit(X, y, l2=LR_L2)
-        return self
 
 
 class LinearSVMModel(LinearBinaryModel):
@@ -61,11 +57,9 @@ class LinearSVMModel(LinearBinaryModel):
 
     descriptor = "svm"
 
-    def fit(self, features: np.ndarray, labels: np.ndarray, seed: int = 0):
-        X, y = check_training_set(features, labels)
+    def _train(self, X: np.ndarray, y: np.ndarray, seed: int) -> None:
         m = np.where(y == 1, 1.0, -1.0)
         n, d = X.shape
-        self.n_features = d
         lam = 1.0 / (SVM_C * n)
         w = np.zeros(d)
         b = 0.0
@@ -89,7 +83,6 @@ class LinearSVMModel(LinearBinaryModel):
         # Averaged iterate: smoother boundary than the last subgradient step.
         self.weights = w_avg
         self.intercept = b_avg
-        return self
 
 
 class LDAModel(LinearBinaryModel):
@@ -98,10 +91,8 @@ class LDAModel(LinearBinaryModel):
 
     descriptor = "lda"
 
-    def fit(self, features: np.ndarray, labels: np.ndarray, seed: int = 0):
-        X, y = check_training_set(features, labels)
+    def _train(self, X: np.ndarray, y: np.ndarray, seed: int) -> None:
         n, d = X.shape
-        self.n_features = d
         x0 = X[y == 0]
         x1 = X[y == 1]
         mu0 = x0.mean(axis=0)
@@ -116,4 +107,3 @@ class LDAModel(LinearBinaryModel):
         b = float(-0.5 * w @ (mu0 + mu1) + prior_ratio)
         self.weights = w
         self.intercept = b
-        return self

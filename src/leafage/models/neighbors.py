@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import BlackBoxModel, check_matrix, check_training_set
+from .base import TrainedModel
 
 # float64 elements per distance temporary (8 MB): a block takes
 # BLOCK_ELEMENTS // n_train query rows, so memory stays flat as the
@@ -11,7 +11,7 @@ from .base import BlackBoxModel, check_matrix, check_training_set
 BLOCK_ELEMENTS = 1 << 20
 
 
-class KNearestModel(BlackBoxModel):
+class KNearestModel(TrainedModel):
     """K=1 nearest neighbour over the stored training set.
 
     Distance ties resolve to the lowest training-row index, so training
@@ -20,17 +20,13 @@ class KNearestModel(BlackBoxModel):
 
     descriptor = "knn"
 
-    def __init__(self):
-        self.n_features = 0
-        self._train: np.ndarray | None = None
-        self._labels: np.ndarray | None = None
+    _labels: np.ndarray | None = None
 
-    def fit(self, features: np.ndarray, labels: np.ndarray, seed: int = 0):
-        self._train, self._labels = check_training_set(features, labels)
-        self.n_features = self._train.shape[1]
-        return self
+    def _train(self, X: np.ndarray, y: np.ndarray, seed: int) -> None:
+        # The training rows are the base class's read-only ``_fit_rows``.
+        self._labels = y
 
-    def predict_labels(self, rows: np.ndarray) -> np.ndarray:
+    def _predict(self, rows: np.ndarray) -> np.ndarray:
         """Nearest training row per query by the Gram form ||t||^2 - 2 x.t.
 
         Rows with a second training row inside the rounding band of their
@@ -38,10 +34,10 @@ class KNearestModel(BlackBoxModel):
         not finite, are re-decided by the exact difference form
         sum((x - t)^2) over the whole training set, lowest index first.
         """
-        rows = check_matrix(rows, self.n_features)
-        train = self._train
+        train = self._fit_rows
         n_train, d = train.shape
-        # Computed per call, not at fit: fit keeps the caller's array.
+        # Computed per call rather than kept from fit: O(n d), small next
+        # to the O(m n d) Gram product.
         train_sq = np.einsum("ij,ij->i", train, train)
         minus_2t = -2.0 * train
         train_sq_max = train_sq.max()

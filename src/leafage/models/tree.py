@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .base import BlackBoxModel, check_matrix, check_training_set
+from .base import TrainedModel, check_matrix
 
 _LEAF = -1
 
@@ -202,7 +202,7 @@ def _paint(
         stack.append((right[node], lo[:a] + (k,) + lo[a + 1 :], hi))
 
 
-class RandomForestModel(BlackBoxModel):
+class RandomForestModel(TrainedModel):
     """Ensemble of 10 Gini trees, each on a bootstrap sample with sqrt(d)
     candidate features per split."""
 
@@ -212,15 +212,12 @@ class RandomForestModel(BlackBoxModel):
     randomized = True
 
     def __init__(self) -> None:
-        self.n_features = 0
         self._trees: list[_Tree] = []
         self._edges: list[tuple[int, np.ndarray]] = []
         self._table: np.ndarray | None = None
 
-    def fit(self, features: np.ndarray, labels: np.ndarray, seed: int = 0):
-        X, y = check_training_set(features, labels)
+    def _train(self, X: np.ndarray, y: np.ndarray, seed: int) -> None:
         n, d = X.shape
-        self.n_features = d
         max_features = max(1, int(np.sqrt(d))) if self.randomized else None
         rng = np.random.default_rng(seed)
         self._trees = []
@@ -241,7 +238,6 @@ class RandomForestModel(BlackBoxModel):
                 _paint(tree, table, edges)
             table /= len(self._trees)
             self._edges, self._table = edges, table.ravel()
-        return self
 
     def predict_scores(self, rows: np.ndarray) -> np.ndarray:
         rows = check_matrix(rows, self.n_features)
@@ -262,7 +258,7 @@ class RandomForestModel(BlackBoxModel):
             probs += tree.predict_prob(rows)
         return probs / len(self._trees)
 
-    def predict_labels(self, rows: np.ndarray) -> np.ndarray:
+    def _predict(self, rows: np.ndarray) -> np.ndarray:
         return (self.predict_scores(rows) >= 0.5).astype(np.int64)
 
 

@@ -7,9 +7,9 @@ opposite-class training examples, all in original feature units.
 """
 from __future__ import annotations
 
+import html
 import json
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -185,6 +185,11 @@ def _fmt(value: float) -> str:
     return f"{value:.4g}"
 
 
+def _escape(text: str) -> str:
+    """``text`` with ``&``, ``<`` and ``>`` escaped for an SVG text node."""
+    return html.escape(text, quote=False)
+
+
 _BAR_COLOR = "#4878a8"
 _ROW_H = 22
 _FONT = 'font-family="monospace" font-size="12"'
@@ -195,20 +200,20 @@ def _table(
 ) -> tuple[list[str], int]:
     col_w = 88
     parts = [
-        f'<text x="{x}" y="{y}" {_FONT} font-weight="bold">{escape(title)}</text>'
+        f'<text x="{x}" y="{y}" {_FONT} font-weight="bold">{_escape(title)}</text>'
     ]
     y += 8
     for j, col in enumerate(columns):
         parts.append(
             f'<text x="{x + j * col_w}" y="{y + _ROW_H - 8}" {_FONT} '
-            f'font-style="italic">{escape(col)}</text>'
+            f'font-style="italic">{_escape(col)}</text>'
         )
     for i, row in enumerate(rows):
         ry = y + (i + 1) * _ROW_H
         for j, cell in enumerate(row):
             parts.append(
                 f'<text x="{x + j * col_w}" y="{ry + _ROW_H - 8}" {_FONT}>'
-                f"{escape(cell)}</text>"
+                f"{_escape(cell)}</text>"
             )
     return parts, y + (len(rows) + 1) * _ROW_H + 16
 
@@ -225,14 +230,14 @@ def render_svg(report: dict) -> str:
     parts.append(
         f'<text x="16" y="24" font-family="monospace" font-size="15" '
         f'font-weight="bold">'
-        f'Prediction: {escape(str(report["predicted_class"]))} '
-        f'({escape(str(report["model"]))} on {escape(str(report["dataset"]))})</text>'
+        f'Prediction: {_escape(str(report["predicted_class"]))} '
+        f'({_escape(str(report["model"]))} on {_escape(str(report["dataset"]))})</text>'
     )
     y = 56
     if report["flags"]:
         banner = "flags: " + ", ".join(report["flags"])
         parts.append(
-            f'<text x="16" y="{y}" {_FONT} fill="#a84444">{escape(banner)}</text>'
+            f'<text x="16" y="{y}" {_FONT} fill="#a84444">{_escape(banner)}</text>'
         )
         y += 28
 
@@ -248,7 +253,7 @@ def render_svg(report: dict) -> str:
             bar = 220.0 * e["importance"] / max_importance
             label = f'{e["feature"]} = {_fmt(e["value"])}'
             parts.append(
-                f'<text x="16" y="{y + _ROW_H - 8}" {_FONT}>{escape(label)}</text>'
+                f'<text x="16" y="{y + _ROW_H - 8}" {_FONT}>{_escape(label)}</text>'
             )
             parts.append(
                 f'<rect x="140" y="{y + 6}" width="{bar:.1f}" height="12" '

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -533,3 +537,20 @@ class TestRender:
         with pytest.raises(SystemExit) as exc:
             run(["confabulate"])
         assert exc.value.code == 2
+
+
+def test_import_loads_no_network_modules():
+    # xml.sax.saxutils pulled in urllib.request and with it http.client,
+    # ssl and email: 5.6 MB of resident memory that nothing uses.
+    script = (
+        "import sys, leafage.cli\n"
+        "print(sorted(m for m in ('urllib.request', 'http.client', 'ssl', 'email')"
+        " if m in sys.modules))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=60, check=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.stdout.strip() == "[]"

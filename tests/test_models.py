@@ -16,7 +16,7 @@ from conftest import separable_blobs
 import leafage
 from leafage.data import Dataset, SplitSpec, generate_artificial, train_test_split
 from leafage.errors import ModelError
-from leafage import models
+from leafage import core, models
 from leafage.models import (
     DecisionTreeModel,
     KNearestModel,
@@ -434,9 +434,10 @@ class TestKNNGramForm:
             rng = np.random.default_rng(0)
             train = rng.normal(size=(12_000, 2))
             labels = rng.integers(0, 2, size=12_000)
-            model = KNearestModel().fit(train, labels)
-            model.predict_labels(train[:10])
+            KNearestModel().fit(train[:100], labels[:100]).predict_labels(train[:10])
             before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            # fit labels all 12k training rows
+            model = KNearestModel().fit(train, labels)
             assert (model.predict_labels(train) == labels).all()
             after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             print((after - before) / 1024.0)
@@ -528,8 +529,102 @@ class TestPredictContract:
         rows = np.random.default_rng(3).normal(size=(50, 2))
         assert np.array_equal(model.predict_labels(rows), model.predict_labels(rows))
 
+    def test_batch_layout_does_not_change_labels(self):
+        # lr's boundary passes within rounding of (3, 3), and BLAS rounds
+        # the last rows of a Fortran-ordered batch differently.
+        X = np.array([[3, 3]] * 4 + [[0, 3]] * 2 + [[0, 0]] * 4
+                     + [[3, 3], [3, 0], [3, 0]] + [[0, 0]] * 4 + [[3, 3]], dtype=float)
+        y = np.array([0, 1] + [0] * 8 + [1] * 8)
+        queries = np.vstack([generate_artificial(20, 1).features, np.full((3, 2), 3.0)])
+        for algorithm in models.CANONICAL_ALGORITHMS:
+            model = models.ALGORITHMS[algorithm]().fit(X, y)
+            assert np.array_equal(
+                model.predict_labels(np.asfortranarray(queries)),
+                model.predict_labels(queries),
+            ), algorithm
+
     def test_dimension_mismatch(self):
         ds = generate_artificial(10, seed=0)
         model = fit("lda", ds)
         with pytest.raises(ModelError, match="dimension mismatch"):
             model.predict_labels(np.zeros((3, 5)))
+
+
+@st.composite
+def memo_cases(draw):
+    """One of the six algorithms on 2-30 rows of d = 1-4 features drawn from
+    a few values with both signed zeros among them, some rows repeated; and
+    one cell of the training matrix to perturb."""
+    algorithm = draw(st.sampled_from(models.CANONICAL_ALGORITHMS))
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 30))
+    values = draw(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=5))
+    row = st.lists(st.sampled_from(values + [0.0, -0.0]), min_size=d, max_size=d)
+    X = np.array(draw(st.lists(row, min_size=n, max_size=n)), dtype=np.float64)
+    X = np.vstack([X, X[draw(st.lists(st.integers(0, n - 1), max_size=5))]])
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=len(X), max_size=len(X))))
+    y[:2] = [0, 1]
+    seed = draw(st.integers(0, 2**16))
+    cell = draw(st.tuples(st.integers(0, len(X) - 1), st.integers(0, d - 1)))
+    return algorithm, X, y, seed, cell
+
+
+class TestTrainingLabels:
+    """``fit`` labels the training rows once; ``predict_labels`` serves those
+    labels to a batch bitwise equal to the training rows."""
+
+    @given(memo_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_served_labels_equal_predict(self, case):
+        algorithm, X, y, seed, (i, j) = case
+        model = models.ALGORITHMS[algorithm]().fit(X, y, seed=seed)
+        bumped = X.copy()
+        value = bumped[i, j]
+        # 0.0 and -0.0 compare equal but differ in their bits.
+        bumped[i, j] = -value if value == 0.0 else np.nextafter(value, np.inf)
+        batches = (X, X.copy(), np.asfortranarray(X), bumped)
+        expected = [model._predict(rows) for rows in batches]
+        predicted = []
+        predict = model._predict
+
+        def recording(rows):
+            predicted.append(rows)
+            return predict(rows)
+
+        model._predict = recording
+        for rows, labels in zip(batches, expected):
+            assert np.array_equal(model.predict_labels(rows), labels)
+        assert len(predicted) == 1 and predicted[0] is bumped
+        del model._predict
+        # A refit of the same instance serves the new labels.
+        model.fit(X, 1 - y, seed=seed)
+        refit = models.ALGORITHMS[algorithm]().fit(X, 1 - y, seed=seed)
+        assert np.array_equal(model.predict_labels(X), refit._predict(X))
+
+    @pytest.mark.parametrize("algorithm", models.CANONICAL_ALGORITHMS)
+    def test_mutating_the_training_arrays_after_fit(self, algorithm):
+        ds = generate_artificial(40, seed=2)
+        X, y = ds.features.copy(), ds.labels.astype(np.int64)
+        probe = np.vstack([X, np.random.default_rng(0).normal(size=(50, 2))])
+        train = X.copy()
+        model = models.ALGORITHMS[algorithm]().fit(X, y, seed=1)
+        before = model.predict_labels(probe), model.predict_labels(train)
+        X *= -1.0
+        y[:] = 1 - y
+        assert np.array_equal(model.predict_labels(probe), before[0])
+        assert np.array_equal(model.predict_labels(train), before[1])
+
+    def test_explain_predicts_only_the_instance(self, monkeypatch):
+        train = generate_artificial(5000, seed=0)
+        fitted = models.fit_on_standardized("rf", train, seed=0)
+        sizes = []
+        predict = RandomForestModel._predict
+
+        def recording(self, rows):
+            sizes.append(rows.shape[0])
+            return predict(self, rows)
+
+        monkeypatch.setattr(RandomForestModel, "_predict", recording)
+        z = train.features[7] + 0.25
+        core.explain(fitted.model, train, z, standardizer=fitted.standardizer)
+        assert sizes == [1]
