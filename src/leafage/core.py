@@ -42,6 +42,13 @@ SURROGATE_MAX_ITER = 100
 SURROGATE_TOL = 1e-8
 
 
+def check_integer(name: str, value) -> None:
+    """Raise DataError unless ``value`` is a Python or numpy integer; a
+    bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DataError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LeafageConfig:
     """Knobs for the local explanation procedure; ``seed`` is not read."""
@@ -51,6 +58,8 @@ class LeafageConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_integer("i_small", self.i_small)
+        check_integer("k_examples", self.k_examples)
         if self.i_small < 2:
             raise DataError("i_small must be an integer greater than 1")
         if self.k_examples < 1:

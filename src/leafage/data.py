@@ -87,7 +87,8 @@ class Standardizer:
     """Per-column z-score transform fitted on training rows.
 
     Constant columns (zero standard deviation) get a scale of 1, so they
-    standardize to 0 instead of dividing by zero.
+    standardize to 0 instead of dividing by zero.  A column whose mean or
+    standard deviation overflows a double raises DataError.
     """
 
     means: np.ndarray
@@ -96,9 +97,16 @@ class Standardizer:
     @classmethod
     def fit(cls, features: np.ndarray) -> "Standardizer":
         features = np.asarray(features, dtype=np.float64)
-        means = features.mean(axis=0)
-        stds = features.std(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = features.mean(axis=0)
+            stds = features.std(axis=0)
         scales = np.where(stds == 0.0, 1.0, stds)
+        wide = ~(np.isfinite(means) & np.isfinite(scales))
+        if wide.any():
+            raise DataError(
+                f"cannot standardize column {np.flatnonzero(wide)[0]}: its mean "
+                "or standard deviation is not a finite double"
+            )
         means.setflags(write=False)
         scales.setflags(write=False)
         return cls(means=means, scales=scales)
@@ -211,22 +219,20 @@ def train_test_split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     if ds.n < 2:
         raise DataError("cannot split a dataset with fewer than 2 rows")
     rng = np.random.default_rng(spec.seed)
+    # Each group (one per class when stratified, else all rows) is permuted
+    # and its first round_half_up(fraction * size) rows go to training.
     if spec.stratified:
-        train_parts = []
-        test_parts = []
-        for c in range(len(ds.class_names)):
-            members = np.flatnonzero(ds.labels == c)
-            perm = members[rng.permutation(members.size)]
-            k = _round_half_up(spec.train_fraction * members.size)
-            train_parts.append(perm[:k])
-            test_parts.append(perm[k:])
-        train_idx = np.sort(np.concatenate(train_parts))
-        test_idx = np.sort(np.concatenate(test_parts))
+        groups = [np.flatnonzero(ds.labels == c) for c in range(len(ds.class_names))]
     else:
-        perm = rng.permutation(ds.n)
-        k = _round_half_up(spec.train_fraction * ds.n)
-        train_idx = np.sort(perm[:k])
-        test_idx = np.sort(perm[k:])
+        groups = [np.arange(ds.n)]
+    train_parts, test_parts = [], []
+    for members in groups:
+        perm = members[rng.permutation(members.size)]
+        k = _round_half_up(spec.train_fraction * members.size)
+        train_parts.append(perm[:k])
+        test_parts.append(perm[k:])
+    train_idx = np.sort(np.concatenate(train_parts))
+    test_idx = np.sort(np.concatenate(test_parts))
     if train_idx.size == 0 or test_idx.size == 0:
         raise DataError(
             f"split produced an empty partition (n={ds.n}, "

@@ -275,7 +275,13 @@ def run_setting(
     fitted = models.fit_on_standardized(classifier, train, seed=model_seed)
     model = fitted.model
     X_train = fitted.standardizer.transform(train.features)
-    X_test = fitted.standardizer.transform(test.features)
+    with np.errstate(over="ignore"):
+        X_test = fitted.standardizer.transform(test.features)
+    if not np.isfinite(X_test).all():
+        raise DataError(
+            "a standardized test row does not fit in a double; its values lie "
+            "too far outside the training rows' spread"
+        )
     pred_train = model.predict_labels(X_train)
     pred_test = model.predict_labels(X_test)
     quartile_bins = (

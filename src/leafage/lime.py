@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LocalSurrogate, weighted_logistic_fit
+from .core import LocalSurrogate, check_integer, weighted_logistic_fit
 from .errors import DataError, ExplanationError
 
 __all__ = [
@@ -53,6 +53,9 @@ class LimeConfig:
     n_samples: int = 5000
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        check_integer("n_samples", self.n_samples)
+
     def check_n_samples(self, d: int) -> None:
         if self.n_samples < 10 * d:
             raise DataError(
@@ -60,21 +63,12 @@ class LimeConfig:
             )
 
 
-def _check_instance(z: np.ndarray, d: int) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (d,):
-        raise ExplanationError(f"instance has shape {z.shape}, expected ({d},)")
-    return z
-
-
-def lime_sample(d: int, z: np.ndarray, cfg: LimeConfig) -> np.ndarray:
+def lime_sample(d: int, cfg: LimeConfig) -> np.ndarray:
     """Synthetic points drawn i.i.d. per feature from the standard normal.
 
     The training space is standardized, so unit normals cover the input
-    distribution; samples are not centred on ``z``, which only has its
-    shape checked against the dimension ``d``.
+    distribution; samples are not centred on the instance.
     """
-    _check_instance(z, d)
     cfg.check_n_samples(d)
     rng = np.random.default_rng(cfg.seed)
     return rng.standard_normal((cfg.n_samples, d))
@@ -93,8 +87,10 @@ def lime_fit(model, z: np.ndarray, cfg: LimeConfig) -> LocalSurrogate:
     every sample identically.
     """
     z = np.asarray(z, dtype=np.float64)
-    d = z.shape[0]
-    samples = lime_sample(d, z, cfg)
+    if z.ndim != 1:
+        raise ExplanationError(f"instance has shape {z.shape}, expected one row")
+    d = z.size
+    samples = lime_sample(d, cfg)
     weights, intercept = weighted_logistic_fit(
         samples,
         model.predict_labels(samples),
@@ -223,7 +219,9 @@ def lime_quartile_fit(
     representation, where ``z`` is all ones.  Degenerate when the black
     box labels every sample identically.
     """
-    z = _check_instance(z, bins.d)
+    z = np.asarray(z, dtype=np.float64)
+    if z.shape != (bins.d,):
+        raise ExplanationError(f"instance has shape {z.shape}, expected ({bins.d},)")
     cfg.check_n_samples(bins.d)
     codes, samples = bins.sample(cfg.n_samples, np.random.default_rng(cfg.seed))
     z_codes = bins.encode(z[None, :])[0]

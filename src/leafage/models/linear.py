@@ -29,9 +29,8 @@ LDA_RIDGE = 1e-6
 class LinearBinaryModel(TrainedModel):
     """Common prediction plumbing for models with an exposed hyperplane."""
 
-    def __init__(self) -> None:
-        self.weights: np.ndarray | None = None
-        self.intercept: float = 0.0
+    weights: np.ndarray | None = None
+    intercept: float = 0.0
 
     def predict_scores(self, rows: np.ndarray) -> np.ndarray:
         rows = check_matrix(rows, self.n_features)

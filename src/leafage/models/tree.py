@@ -23,6 +23,7 @@ also the reference the grid is tested against.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,32 +35,15 @@ _LEAF = -1
 GRID_MAX_CELLS = 1 << 20
 
 
+@dataclass(frozen=True, slots=True)
 class _Tree:
     """Flat node arrays: feature < 0 marks a leaf."""
 
-    __slots__ = ("feature", "threshold", "left", "right", "prob")
-
-    def __init__(self) -> None:
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.prob: list[float] = []
-
-    def add_node(self) -> int:
-        self.feature.append(_LEAF)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.prob.append(0.0)
-        return len(self.feature) - 1
-
-    def finalize(self) -> None:
-        self.feature = np.asarray(self.feature, dtype=np.int64)
-        self.threshold = np.asarray(self.threshold, dtype=np.float64)
-        self.left = np.asarray(self.left, dtype=np.int64)
-        self.right = np.asarray(self.right, dtype=np.int64)
-        self.prob = np.asarray(self.prob, dtype=np.float64)
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    prob: np.ndarray
 
     def predict_prob(self, rows: np.ndarray) -> np.ndarray:
         node = np.zeros(rows.shape[0], dtype=np.int64)
@@ -122,57 +106,55 @@ def _best_split(
 
 
 def _grow(
-    X: np.ndarray, y: np.ndarray, max_features: int | None, rng: np.random.Generator
+    X: np.ndarray, y: np.ndarray, max_features: int, rng: np.random.Generator
 ) -> _Tree:
+    """Grow one tree, sampling ``max_features`` candidate features per node
+    when that is fewer than all ``d``."""
     d = X.shape[1]
     all_features = np.arange(d)
-    sampled = max_features is not None and max_features < d
-    tree = _Tree()
-    root = tree.add_node()
-    stack: list[tuple[int, np.ndarray]] = [(root, np.arange(X.shape[0]))]
+    # One entry per node, appended blank as a split creates the node.
+    blank = (_LEAF, 0.0, -1, -1, 0.0)
+    columns = feature, threshold, left, right, prob = tuple([v] for v in blank)
+    stack: list[tuple[int, np.ndarray]] = [(0, np.arange(X.shape[0]))]
     while stack:
         node, rows = stack.pop()
         ys = y[rows]
-        tree.prob[node] = float(ys.mean())
+        prob[node] = float(ys.mean())
         if ys.min() == ys.max():
             continue
-        if sampled:
+        split = None
+        if max_features < d:
             candidates = np.sort(rng.choice(d, size=max_features, replace=False))
-        else:
-            candidates = all_features
-        split = _best_split(X, y, rows, candidates)
-        if split is None and sampled:
+            split = _best_split(X, y, rows, candidates)
+        if split is None:
             split = _best_split(X, y, rows, all_features)
         if split is None:
             continue
-        f, threshold = split
-        goes_left = X[rows, f] < threshold
-        tree.feature[node] = f
-        tree.threshold[node] = threshold
-        left = tree.add_node()
-        right = tree.add_node()
-        tree.left[node] = left
-        tree.right[node] = right
+        f, t = split
+        goes_left = X[rows, f] < t
+        feature[node], threshold[node] = f, t
+        left[node], right[node] = len(prob), len(prob) + 1
+        for column, v in zip(columns, blank):
+            column += (v, v)
         # Right pushed first so the left child is processed (and numbered
         # relative to its subtree) in a fixed order.
-        stack.append((right, rows[~goes_left]))
-        stack.append((left, rows[goes_left]))
-    tree.finalize()
-    return tree
+        stack.append((right[node], rows[~goes_left]))
+        stack.append((left[node], rows[goes_left]))
+    return _Tree(*(np.array(column) for column in columns))
 
 
-def _grid_edges(trees: list[_Tree]) -> list[tuple[int, np.ndarray]]:
+def _grid_edges(trees: tuple[_Tree, ...]) -> tuple[tuple[int, np.ndarray], ...]:
     """(feature, sorted distinct thresholds) for each feature some tree
     splits on, in ascending feature order."""
     split = sorted(set().union(*(t.feature[t.feature >= 0].tolist() for t in trees)))
-    return [
+    return tuple(
         (f, np.unique(np.concatenate([t.threshold[t.feature == f] for t in trees])))
         for f in split
-    ]
+    )
 
 
 def _paint(
-    tree: _Tree, table: np.ndarray, edges: list[tuple[int, np.ndarray]]
+    tree: _Tree, table: np.ndarray, edges: tuple[tuple[int, np.ndarray], ...]
 ) -> None:
     """Add each leaf's probability over its box of grid cells.
 
@@ -211,32 +193,30 @@ class RandomForestModel(TrainedModel):
     # Bootstrap rows and sample sqrt(d) candidate features per node.
     randomized = True
 
-    def __init__(self) -> None:
-        self._trees: list[_Tree] = []
-        self._edges: list[tuple[int, np.ndarray]] = []
-        self._table: np.ndarray | None = None
+    _trees: tuple[_Tree, ...] = ()
+    # The threshold grid: empty edges and no table when it would exceed
+    # GRID_MAX_CELLS cells.
+    _edges: tuple[tuple[int, np.ndarray], ...] = ()
+    _table: np.ndarray | None = None
 
     def _train(self, X: np.ndarray, y: np.ndarray, seed: int) -> None:
         n, d = X.shape
-        max_features = max(1, int(np.sqrt(d))) if self.randomized else None
+        max_features = max(1, int(np.sqrt(d))) if self.randomized else d
         rng = np.random.default_rng(seed)
-        self._trees = []
+        trees = []
         for _ in range(self.n_trees):
-            if self.randomized:
-                sample = rng.integers(0, n, size=n)
-                Xb, yb = X[sample], y[sample]
-            else:
-                Xb, yb = X, y
-            self._trees.append(_grow(Xb, yb, max_features, rng))
+            sample = rng.integers(0, n, size=n) if self.randomized else slice(None)
+            trees.append(_grow(X[sample], y[sample], max_features, rng))
+        self._trees = tuple(trees)
         edges = _grid_edges(self._trees)
-        self._edges, self._table = [], None
+        self._edges, self._table = (), None
         # Python ints: the product of many features' sizes overflows int64.
         shape = tuple(e.size + 1 for _, e in edges)
         if math.prod(shape) <= GRID_MAX_CELLS:
             table = np.zeros(shape)
-            for tree in self._trees:
+            for tree in trees:
                 _paint(tree, table, edges)
-            table /= len(self._trees)
+            table /= len(trees)
             self._edges, self._table = edges, table.ravel()
 
     def predict_scores(self, rows: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from leafage import cli, models
 from leafage.cli import main
+from leafage.data import Dataset, SplitSpec, train_test_split
 from leafage.report import load_report
 
 
@@ -438,6 +440,63 @@ class TestEvaluateSeeds:
         out = tmp_path / "r.csv"
         code = run(self.ARGS + [option, value, "--seed", 0, "--out", out])
         assert code == 3
+        assert not out.exists()
+
+
+def wide_value_csv(path, wide_row, spread, n=40):
+    """x1 is the row index and x2 spreads over ``spread``, except for a
+    value of 1e200 in row ``wide_row``."""
+    x2 = spread * np.random.default_rng(1).standard_normal(n)
+    x2[wide_row] = 1e200
+    rows = ["x1,x2,label"] + [f"{i},{float(x2[i])!r},{'ab'[i % 2]}" for i in range(n)]
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+def default_split_rows(n, seed):
+    """Row indices of the train and test parts of evaluate's split."""
+    ds = Dataset(np.arange(n, dtype=float)[:, None], np.arange(n) % 2, ["i"], ["a", "b"])
+    parts = train_test_split(ds, SplitSpec(seed=seed))
+    return [part.features[:, 0].astype(int) for part in parts]
+
+
+class TestTooWideForADouble:
+    """A feature value whose standardization overflows a double is a data
+    error, reported before any output is written and without a warning."""
+
+    def run_quietly(self, argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(argv)
+        err = capsys.readouterr().err
+        assert "Warning" not in err
+        return code, err
+
+    def test_explain_exit_3_without_report(self, tmp_path, capsys):
+        csv_path = wide_value_csv(tmp_path / "wide.csv", wide_row=5, spread=1.0)
+        out = tmp_path / "r.json"
+        code, err = self.run_quietly(
+            ["explain", "--train", csv_path, "--model", "lr", "--instance", 0,
+             "--seed", 1, "--out", out], capsys)
+        assert code == 3
+        assert "column 1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("part, spread, message", [
+        (0, 1.0, "column 1"),
+        (1, 1e-150, "standardized test row"),
+    ])
+    def test_evaluate_exit_3_without_results(self, tmp_path, capsys, part, spread,
+                                             message):
+        # Part 0 puts the wide value in the training rows, part 1 in the test rows.
+        wide_row = default_split_rows(40, seed=2)[part][0]
+        csv_path = wide_value_csv(tmp_path / "wide.csv", wide_row, spread)
+        out = tmp_path / "results.csv"
+        code, err = self.run_quietly(
+            ["evaluate", "--datasets", csv_path, "--classifiers", "lr,knn,rf",
+             "--strategies", "baseline", "--seed", 2, "--out", out], capsys)
+        assert code == 3
+        assert message in err
         assert not out.exists()
 
 

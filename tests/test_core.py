@@ -103,6 +103,16 @@ class TestSampler:
         with pytest.raises(DataError, match="k_examples"):
             LeafageConfig(k_examples=0)
 
+    @pytest.mark.parametrize("field", ["i_small", "k_examples"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+    def test_config_sizes_must_be_integers(self, field, value):
+        with pytest.raises(DataError, match=f"{field} must be an integer"):
+            LeafageConfig(**{field: value})
+
+    def test_config_accepts_numpy_integers(self):
+        cfg = LeafageConfig(i_small=np.int64(3), k_examples=np.int32(2))
+        assert (cfg.i_small, cfg.k_examples) == (3, 2)
+
 
 class TestLocalFit:
     def axis_separated(self, noise_axis_value=0.0):

@@ -219,6 +219,20 @@ class TestStandardizer:
         z = sc.transform(x)
         assert np.all(z[:, 0] == 0.0)
 
+    @pytest.mark.parametrize("column, values", [
+        # The square of 1e200 overflows, so the std would be infinite and
+        # the column would standardize to 0 everywhere.
+        (1, [1.0, 1e200, 3.0, 4.0]),
+        (1, [1.0, -1e200, 3.0, 4.0]),
+        # The sum of the column, and so its mean, overflows.
+        (0, [1.7e308] * 4),
+    ])
+    def test_overflow_names_the_column(self, column, values):
+        x = np.column_stack([np.arange(4.0)] * 2)
+        x[:, column] = values
+        with pytest.raises(DataError, match=f"column {column}"):
+            Standardizer.fit(x)
+
     def test_standardized_dataset_helper(self):
         ds = generate_artificial(30, seed=0)
         sc = Standardizer.fit(ds.features)

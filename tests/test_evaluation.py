@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FixedLinearModel, blob_dataset
-from leafage import models
+from leafage import evaluation, models
 from leafage.core import LocalSurrogate
 from leafage.data import Dataset, SplitSpec, generate_artificial, train_test_split
 from leafage.errors import DataError, NoEnemiesError
@@ -259,6 +259,18 @@ class TestLocalFidelity:
         assert auc(labels, s.score(rows)) == 0.5
 
 
+def tiny_spread_dataset(rng, n, wide_row=None):
+    """x1 standard normal and the label its sign; x2 spread over ~1e-150,
+    except a value of 1e200 in row ``wide_row``."""
+    x1 = rng.standard_normal(n)
+    x2 = 1e-150 * rng.standard_normal(n)
+    if wide_row is not None:
+        x2[wide_row] = 1e200
+    return Dataset(
+        np.column_stack([x1, x2]), (x1 > 0).astype(int), ["x1", "x2"], ["a", "b"]
+    )
+
+
 class TestRunSetting:
     def test_baseline_exactly_half(self):
         ds = generate_artificial(60, seed=0)
@@ -368,6 +380,21 @@ class TestRunSetting:
         train, test = train_test_split(ds, SplitSpec(seed=0))
         with pytest.raises(DataError, match="unknown strategy"):
             run_setting(train, test, "knn", ("magic",))
+
+    def test_overflowing_test_row_rejected_before_scoring(self, monkeypatch):
+        # Training x2 spreads over ~1e-150, so a test x2 of 1e200
+        # standardizes to infinity.
+        rng = np.random.default_rng(0)
+        train = tiny_spread_dataset(rng, 40)
+        test = tiny_spread_dataset(rng, 20, wide_row=3)
+
+        def must_not_score(*args):
+            raise AssertionError("an instance was scored")
+
+        monkeypatch.setattr(evaluation, "fidelity_sphere", must_not_score)
+        for classifier in ("lr", "knn", "rf"):
+            with pytest.raises(DataError, match="standardized test row"):
+                run_setting(train, test, classifier, ("baseline",))
 
     def test_setting_tuple(self):
         ds = generate_artificial(30, seed=1)

@@ -22,19 +22,27 @@ from leafage.lime import (
 class TestSampling:
     def test_sample_statistics(self):
         cfg = LimeConfig(n_samples=10000, seed=0)
-        samples = lime_sample(2, np.zeros(2), cfg)
+        samples = lime_sample(2, cfg)
         assert samples.shape == (10000, 2)
         assert np.all(np.abs(samples.mean(axis=0)) < 0.05)
 
     def test_same_seed_identical(self):
         cfg = LimeConfig(seed=42)
-        a = lime_sample(3, np.zeros(3), cfg)
-        b = lime_sample(3, np.zeros(3), cfg)
+        a = lime_sample(3, cfg)
+        b = lime_sample(3, cfg)
         assert np.array_equal(a, b)
 
     def test_n_samples_floor(self):
         with pytest.raises(DataError, match="below the minimum"):
-            lime_sample(2, np.zeros(2), LimeConfig(n_samples=19))
+            lime_sample(2, LimeConfig(n_samples=19))
+
+    @pytest.mark.parametrize("value", [5000.5, 5000.0, True, "5000"])
+    def test_n_samples_must_be_an_integer(self, value):
+        with pytest.raises(DataError, match="n_samples must be an integer"):
+            LimeConfig(n_samples=value)
+
+    def test_numpy_integer_n_samples(self):
+        assert lime_sample(2, LimeConfig(n_samples=np.int64(40))).shape == (40, 2)
 
 
 class TestKernel:
@@ -80,6 +88,11 @@ class TestFit:
         s = lime_fit(ConstantModel(1), np.zeros(2), LimeConfig(seed=1))
         assert s.degenerate
         assert np.all(s.weights == 0.0)
+
+    @pytest.mark.parametrize("z", [np.zeros((1, 2)), np.float64(0.0)])
+    def test_instance_must_be_one_row(self, z):
+        with pytest.raises(ExplanationError, match="expected"):
+            lime_fit(ConstantModel(1), z, LimeConfig())
 
     def test_same_seed_identical_surrogate(self):
         model = FixedLinearModel([0.5, 1.0], 0.2)

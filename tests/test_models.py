@@ -514,6 +514,14 @@ class TestFitFactory:
         assert accuracy > majority
 
 
+def seed_test_data():
+    """Four-feature training rows with a non-linear rule, and queries."""
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(80, 4))
+    y = (X[:, 0] * X[:, 1] + 0.5 * X[:, 2] > X[:, 3] ** 2 - 1).astype(int)
+    return X, y, rng.normal(size=(300, 4))
+
+
 class TestPredictContract:
     def test_empty_batch(self):
         ds = generate_artificial(10, seed=0)
@@ -542,6 +550,28 @@ class TestPredictContract:
                 model.predict_labels(np.asfortranarray(queries)),
                 model.predict_labels(queries),
             ), algorithm
+
+    @pytest.mark.parametrize("algorithm", ["lr", "svm", "lda", "dt", "knn"])
+    def test_seed_drives_only_the_forest(self, algorithm):
+        # Four features, so a tree that sampled sqrt(d) = 2 candidates per
+        # node would depend on the seed.
+        X, y, queries = seed_test_data()
+        a = models.ALGORITHMS[algorithm]().fit(X, y, seed=0)
+        b = models.ALGORITHMS[algorithm]().fit(X, y, seed=12345)
+        assert np.array_equal(a.predict_labels(queries), b.predict_labels(queries))
+        if hasattr(a, "predict_scores"):
+            scores_a, scores_b = a.predict_scores(queries), b.predict_scores(queries)
+            assert scores_a.tobytes() == scores_b.tobytes()
+        if algorithm == "dt":
+            (ta,), (tb,) = a._trees, b._trees
+            for name in ("feature", "threshold", "left", "right", "prob"):
+                assert getattr(ta, name).tobytes() == getattr(tb, name).tobytes()
+
+    def test_forest_depends_on_the_seed(self):
+        X, y, queries = seed_test_data()
+        a = RandomForestModel().fit(X, y, seed=0)
+        b = RandomForestModel().fit(X, y, seed=12345)
+        assert not np.array_equal(a.predict_scores(queries), b.predict_scores(queries))
 
     def test_dimension_mismatch(self):
         ds = generate_artificial(10, seed=0)
