@@ -134,6 +134,21 @@ def closest_enemy(
     return int(enemy_rows[np.argmin(dist)])
 
 
+def _smallest(idx: np.ndarray, keys: np.ndarray, k: int) -> np.ndarray:
+    """The ``k`` entries of ``idx`` with the smallest ``keys``, ascending,
+    ties toward the lower index: ``idx[np.lexsort((idx, keys))[:k]]``.
+
+    A partition finds the k-th smallest key, and only the rows at or
+    below it are sorted.  ``~(keys > kth)`` also keeps NaN keys, which
+    lexsort then puts last, as it does on the whole set.
+    """
+    if 0 < k < idx.size:
+        kth = np.partition(keys, k - 1)[k - 1]
+        keep = ~(keys > kth)
+        idx, keys = idx[keep], keys[keep]
+    return idx[np.lexsort((idx, keys))[:k]]
+
+
 def sample_local_training_set(
     features: np.ndarray,
     predicted: np.ndarray,
@@ -150,10 +165,9 @@ def sample_local_training_set(
     quota = cfg.i_small * features.shape[1]
     dist = _euclidean(features, features[x_border])
     picked = []
-    for cls in np.unique(predicted):
+    for cls in np.flatnonzero(np.bincount(predicted)):
         members = np.flatnonzero(predicted == cls)
-        order = np.lexsort((members, dist[members]))
-        picked.append(members[order[:quota]])
+        picked.append(_smallest(members, dist[members], quota))
     return np.sort(np.concatenate(picked))
 
 
@@ -303,8 +317,7 @@ def retrieve_examples(
 
     def top(mask: np.ndarray) -> list[tuple[int, float]]:
         idx = np.flatnonzero(mask)
-        order = np.lexsort((idx, b[idx]))
-        return [(int(i), float(b[i])) for i in idx[order[:k]]]
+        return [(int(i), float(b[i])) for i in _smallest(idx, b[idx], k)]
 
     duplicate = np.all(features == z, axis=1)
     allies = top((predicted == c_z) & ~duplicate)

@@ -97,6 +97,8 @@ class Standardizer:
     @classmethod
     def fit(cls, features: np.ndarray) -> "Standardizer":
         features = np.asarray(features, dtype=np.float64)
+        if features.shape[0] == 0:
+            raise DataError("cannot standardize zero rows")
         with np.errstate(over="ignore", invalid="ignore"):
             means = features.mean(axis=0)
             stds = features.std(axis=0)

@@ -5,10 +5,10 @@ import numpy as np
 
 from .base import TrainedModel
 
-# float64 elements per distance temporary (8 MB): a block takes
-# BLOCK_ELEMENTS // n_train query rows, so memory stays flat as the
-# training set grows.
-BLOCK_ELEMENTS = 1 << 20
+# float64 elements per distance temporary (512 KB, inside a core's L2
+# cache): a block takes BLOCK_ELEMENTS // n_train query rows, so memory
+# stays flat as the training set grows.
+BLOCK_ELEMENTS = 1 << 16
 
 
 class KNearestModel(TrainedModel):
@@ -59,7 +59,10 @@ class KNearestModel(TrainedModel):
                 # of 1e-9 S for any d below ~10**6; a row whose band holds
                 # one training row cannot change label.
                 band += 1e-9 * (np.einsum("ij,ij->i", block, block) + train_sq_max)
-                recheck = np.count_nonzero(gram <= band[:, None], axis=1) > 1
+                # Another row lies in the band exactly when the minimum
+                # without the nearest one does.
+                gram[np.arange(block.shape[0]), nearest] = np.inf
+                recheck = gram.min(axis=1) <= band
             recheck |= ~np.isfinite(band)
             redo = np.flatnonzero(recheck)
             for first in range(0, redo.size, exact_rows):

@@ -7,6 +7,7 @@ from conftest import FixedLinearModel
 from leafage import lime, models
 from leafage.core import (
     SURROGATE_L2,
+    _smallest,
     Example,
     LeafageConfig,
     LocalSurrogate,
@@ -355,6 +356,31 @@ class TestImportances:
     def test_dimension_mismatch(self):
         with pytest.raises(ExplanationError, match="dimension"):
             feature_importances(surrogate([1.0]), np.zeros(3))
+
+
+class TestSmallest:
+    """The partial selection against the full lexsort it replaces."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_lexsort(self, data):
+        # Few distinct keys, so ties are common, among them signed zeros,
+        # infinities and NaN.
+        special = st.sampled_from([0.0, -0.0, 1.0, np.inf, -np.inf, np.nan])
+        keys = np.array(
+            data.draw(st.lists(st.one_of(special, st.floats(-3.0, 3.0)), max_size=60)),
+            dtype=np.float64,
+        )
+        idx = np.array(
+            data.draw(st.lists(st.integers(0, 10**6), unique=True,
+                               min_size=keys.size, max_size=keys.size)),
+            dtype=np.int64,
+        )
+        k = data.draw(st.integers(0, keys.size + 3))
+        expected = idx[np.lexsort((idx, keys))[:k]]
+        got = _smallest(idx, keys, k)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
 
 
 class TestRetrieve:

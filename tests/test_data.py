@@ -233,6 +233,11 @@ class TestStandardizer:
         with pytest.raises(DataError, match=f"column {column}"):
             Standardizer.fit(x)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_zero_rows(self, d):
+        with pytest.raises(DataError, match="zero rows"):
+            Standardizer.fit(np.empty((0, d)))
+
     def test_standardized_dataset_helper(self):
         ds = generate_artificial(30, seed=0)
         sc = Standardizer.fit(ds.features)

@@ -235,6 +235,18 @@ def tree_training_sets(draw):
     return algorithm, X, y, seed
 
 
+def edge_rows(data, model, X):
+    """At least two rows on thresholds, on training values, on signed zeros
+    and non-finite values, and anywhere between."""
+    pool = thresholds(model) + X.ravel().tolist()
+    pool += [0.0, -0.0, np.inf, -np.inf, np.nan]
+    value = st.one_of(st.sampled_from(pool), st.floats(-5.0, 5.0))
+    d = X.shape[1]
+    rows = np.array(data.draw(st.lists(st.lists(value, min_size=d, max_size=d),
+                                       min_size=1, max_size=30)), dtype=np.float64)
+    return np.vstack([rows, rows[::-1]])
+
+
 class TestThresholdGrid:
     """The grid lookup of ``predict_scores`` against ``_traverse``, which
     routes every row through every tree's nodes."""
@@ -245,15 +257,7 @@ class TestThresholdGrid:
         algorithm, X, y, seed = case
         model = models.ALGORITHMS[algorithm]().fit(X, y, seed=seed)
         assert model._table is not None
-        # Rows on thresholds, on training values, on signed zeros and
-        # non-finite values, and anywhere between.
-        pool = thresholds(model) + X.ravel().tolist()
-        pool += [0.0, -0.0, np.inf, -np.inf, np.nan]
-        value = st.one_of(st.sampled_from(pool), st.floats(-5.0, 5.0))
-        d = X.shape[1]
-        rows = np.array(data.draw(st.lists(st.lists(value, min_size=d, max_size=d),
-                                           min_size=1, max_size=30)), dtype=np.float64)
-        rows = np.vstack([rows, rows[::-1]])
+        rows = edge_rows(data, model, X)
         assert np.array_equal(model.predict_scores(rows), model._traverse(rows))
 
     @pytest.mark.parametrize("algorithm", ["rf", "dt"])
@@ -307,6 +311,43 @@ class TestThresholdGrid:
         assert math.prod(sizes) > 2**63
         assert model._table is None
         assert peak < tree.GRID_MAX_CELLS * 8
+
+
+@pytest.fixture(scope="module")
+def over_cap_forest():
+    """A forest whose threshold grid exceeds GRID_MAX_CELLS on its own."""
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(300, 3))
+    y = rng.integers(0, 2, size=300)
+    return RandomForestModel().fit(X, y, seed=0), X
+
+
+class TestOneRowWalk:
+    """A one-row batch walks each tree node to node; it scores each row
+    bit for bit as the level-by-level traversal of a larger batch does."""
+
+    @staticmethod
+    def check_rows_one_at_a_time(model, rows):
+        batch = model._traverse(rows)
+        walked = np.concatenate([model._traverse(row[None, :]) for row in rows])
+        assert np.array_equal(walked.view(np.uint64), batch.view(np.uint64))
+
+    @given(tree_training_sets(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_small_forest_forced_over_the_cap(self, case, data):
+        algorithm, X, y, seed = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tree, "GRID_MAX_CELLS", 0)
+            model = models.ALGORITHMS[algorithm]().fit(X, y, seed=seed)
+        assert model._table is None
+        self.check_rows_one_at_a_time(model, edge_rows(data, model, X))
+
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_forest_over_the_cap(self, over_cap_forest, data):
+        model, X = over_cap_forest
+        assert model._table is None
+        self.check_rows_one_at_a_time(model, edge_rows(data, model, X))
 
 
 class TestKNN:
@@ -394,6 +435,27 @@ class TestKNNGramForm:
             rng.uniform(-5, 5, size=(300, d)) + offset,
         ])
         assert queries.shape[0] > 3 * (BLOCK_ELEMENTS // n_train)
+        model = KNearestModel().fit(train, labels)
+        assert np.array_equal(
+            model.predict_labels(queries),
+            difference_form_labels(train, labels, queries),
+        )
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1000, 3000), st.integers(1, 4),
+           st.sampled_from([1.0, 0.1, 1.0 / 3.0]), st.sampled_from([0.0, 1e6 + 0.1]))
+    @settings(max_examples=20, deadline=None)
+    def test_tie_heavy_batch_over_several_blocks(self, seed, n_train, d, scale, offset):
+        # Integer-grid rows repeat many times over, often under both labels.
+        rng = np.random.default_rng(seed)
+        train = rng.integers(-3, 4, size=(n_train, d)) * scale + offset
+        labels = rng.integers(0, 2, size=n_train)
+        block_rows = BLOCK_ELEMENTS // n_train
+        pairs = rng.integers(0, n_train, size=(block_rows, 2))
+        queries = np.vstack([
+            train[:block_rows],
+            (train[pairs[:, 0]] + train[pairs[:, 1]]) / 2,
+            rng.uniform(-4, 4, size=(block_rows, d)) + offset,
+        ])
         model = KNearestModel().fit(train, labels)
         assert np.array_equal(
             model.predict_labels(queries),
@@ -658,3 +720,28 @@ class TestTrainingLabels:
         z = train.features[7] + 0.25
         core.explain(fitted.model, train, z, standardizer=fitted.standardizer)
         assert sizes == [1]
+
+    def test_explain_walks_the_instance(self, monkeypatch):
+        # Over the grid cap, the instance is labelled without a pass of
+        # the level-by-level traversal.
+        train = generate_artificial(200, seed=0)
+        gridded = models.fit_on_standardized("rf", train, seed=0)
+        monkeypatch.setattr(tree, "GRID_MAX_CELLS", 0)
+        fitted = models.fit_on_standardized("rf", train, seed=0)
+        assert fitted.model._table is None
+
+        def refuse(self, rows):
+            raise AssertionError("level-by-level traversal")
+
+        monkeypatch.setattr(tree._Tree, "predict_prob", refuse)
+        z = train.features[7] + 0.25
+        walked = core.explain(fitted.model, train, z, standardizer=fitted.standardizer)
+        looked_up = core.explain(
+            gridded.model, train, z, standardizer=gridded.standardizer
+        )
+        assert walked.predicted_class == looked_up.predicted_class
+        assert np.array_equal(walked.importances, looked_up.importances)
+        for side in ("allies", "enemies"):
+            assert [e.index for e in getattr(walked, side)] == [
+                e.index for e in getattr(looked_up, side)
+            ]
