@@ -116,12 +116,11 @@ def _euclidean(rows: np.ndarray, point: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
-def closest_enemy(
-    features: np.ndarray, predicted: np.ndarray, z: np.ndarray, c_z: int
-) -> int:
+def closest_enemy(distances: np.ndarray, predicted: np.ndarray, c_z: int) -> int:
     """Index of the nearest row predicted differently from ``c_z``.
 
-    Distance ties break toward the lowest row index.
+    ``distances`` holds each row's distance to the instance.  Distance ties
+    break toward the lowest row index.
     """
     predicted = np.asarray(predicted)
     enemy_rows = np.flatnonzero(predicted != c_z)
@@ -130,8 +129,7 @@ def closest_enemy(
             "the model predicts a single class on every reference row; "
             "no closest enemy exists"
         )
-    dist = _euclidean(features[enemy_rows], np.asarray(z, dtype=np.float64))
-    return int(enemy_rows[np.argmin(dist)])
+    return int(enemy_rows[np.argmin(distances[enemy_rows])])
 
 
 def _smallest(idx: np.ndarray, keys: np.ndarray, k: int) -> np.ndarray:
@@ -198,15 +196,34 @@ def weighted_logistic_fit(
     penalty[d] = 0.0
     ridge = np.diag(penalty)
     beta = np.zeros(d + 1)
+    # Every n-length intermediate is written into one of three buffers, and
+    # the weighted rows into W, which has the layout of Xa * curvature[:, None]
+    # so that W.T @ Xa runs that product's gemm.  Each operation is the one
+    # the commented plain expression makes, so the results are bit-equal.
+    XaT = np.ascontiguousarray(Xa.T)
+    W = np.empty((n, d + 1))
+    p, r, c = np.empty(n), np.empty(n), np.empty(n)
     # z_lin is the current iterate's linear term, carried over from the
     # line search.  At beta = 0 every row's loss is log(2), the penalty 0.
     z_lin = Xa @ beta
     current = float(sw @ np.full(n, np.log(2.0)))
     for _ in range(SURROGATE_MAX_ITER):
-        p = 1.0 / (1.0 + np.exp(-np.clip(z_lin, -35.0, 35.0)))
-        grad = Xa.T @ (sw * (p - y)) + penalty * beta
-        curvature = sw * p * (1.0 - p)
-        hess = (Xa * curvature[:, None]).T @ Xa + ridge
+        # p = 1 / (1 + exp(-clip(z_lin, -35, 35)))
+        np.maximum(z_lin, -35.0, out=p)
+        np.minimum(p, 35.0, out=p)
+        np.negative(p, out=p)
+        np.exp(p, out=p)
+        np.add(p, 1.0, out=p)
+        np.divide(1.0, p, out=p)
+        # gradient: Xa.T @ (sw * (p - y)); curvature: sw * p * (1 - p)
+        np.subtract(p, y, out=r)
+        np.multiply(sw, r, out=r)
+        grad = Xa.T @ r + penalty * beta
+        np.multiply(sw, p, out=r)
+        np.subtract(1.0, p, out=c)
+        np.multiply(r, c, out=c)
+        np.multiply(XaT, c, out=W.T)
+        hess = W.T @ Xa + ridge
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -216,11 +233,16 @@ def weighted_logistic_fit(
         for _ in range(30):
             candidate = beta - scale * step
             z_new = Xa @ candidate
-            softplus = np.maximum(z_new, 0.0) + np.log1p(np.exp(-np.abs(z_new)))
-            new = float(
-                sw @ (softplus - y * z_new)
-                + 0.5 * l2 * (candidate[:d] @ candidate[:d])
-            )
+            # row loss: max(z, 0) + log1p(exp(-|z|)) - y * z
+            np.abs(z_new, out=r)
+            np.negative(r, out=r)
+            np.exp(r, out=r)
+            np.log1p(r, out=r)
+            np.maximum(z_new, 0.0, out=c)
+            np.add(c, r, out=c)
+            np.multiply(y, z_new, out=r)
+            np.subtract(c, r, out=c)
+            new = float(sw @ c + 0.5 * l2 * (candidate[:d] @ candidate[:d]))
             if new <= current:
                 break
             scale *= 0.5
@@ -254,11 +276,13 @@ def fit_local_linear(
     )
 
 
-def dissimilarities(s: LocalSurrogate, z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def dissimilarities(
+    s: LocalSurrogate, z: np.ndarray, rows: np.ndarray, distances: np.ndarray
+) -> np.ndarray:
     """Black-box dissimilarity from ``z`` to each row.
 
     The product of the distance along the surrogate's discriminative
-    direction and the plain input-space distance:
+    direction and the plain input-space distance ``distances`` = ||t - z||:
 
         b(t) = |w . t - w . z| * ||t - z||
 
@@ -272,11 +296,15 @@ def dissimilarities(s: LocalSurrogate, z: np.ndarray, rows: np.ndarray) -> np.nd
             f"dimension mismatch: instance has {z.shape[0]} features, "
             f"rows have {rows.shape[1]}"
         )
-    euclid = _euclidean(rows, z)
+    if np.shape(distances) != (rows.shape[0],):
+        raise ExplanationError(
+            f"{rows.shape[0]} rows need as many distances, got shape "
+            f"{np.shape(distances)}"
+        )
     if s.degenerate:
-        return euclid
+        return distances
     projected = np.abs(rows @ s.weights - z @ s.weights)
-    return projected * euclid
+    return projected * distances
 
 
 def feature_importances(s: LocalSurrogate, z_std: np.ndarray) -> np.ndarray:
@@ -296,6 +324,7 @@ def feature_importances(s: LocalSurrogate, z_std: np.ndarray) -> np.ndarray:
 
 def retrieve_examples(
     features: np.ndarray,
+    distances: np.ndarray,
     predicted: np.ndarray,
     s: LocalSurrogate,
     z: np.ndarray,
@@ -304,25 +333,28 @@ def retrieve_examples(
 ) -> tuple[list[tuple[int, float]], list[tuple[int, float]]]:
     """Top-k allies and enemies by ascending dissimilarity.
 
-    Allies share the predicted class ``c_z`` (rows identical to ``z`` are
-    dropped as uninformative self-matches); enemies have the opposite
-    label.  Fewer than k are returned when a class runs short.  Ties break
-    toward the lowest row index.
+    ``distances`` holds each row's distance to ``z``.  Allies share the
+    predicted class ``c_z`` (rows identical to ``z`` are dropped as
+    uninformative self-matches); enemies have the opposite label.  Fewer
+    than k are returned when a class runs short.  Ties break toward the
+    lowest row index.
     """
     if k < 1:
         raise ExplanationError("k must be at least 1")
     predicted = np.asarray(predicted)
     z = np.asarray(z, dtype=np.float64)
-    b = dissimilarities(s, z, features)
+    b = dissimilarities(s, z, features, distances)
 
     def top(mask: np.ndarray) -> list[tuple[int, float]]:
         idx = np.flatnonzero(mask)
         return [(int(i), float(b[i])) for i in _smallest(idx, b[idx], k)]
 
-    duplicate = np.all(features == z, axis=1)
-    allies = top((predicted == c_z) & ~duplicate)
-    enemies = top(predicted != c_z)
-    return allies, enemies
+    # A row equal to z is at distance 0; a row at distance 0 may still
+    # differ, when its squared difference underflows, so == confirms.
+    at_z = np.flatnonzero(distances == 0.0)
+    same = predicted == c_z
+    same[at_z[np.all(features[at_z] == z, axis=1)]] = False
+    return top(same), top(predicted != c_z)
 
 
 def explain(
@@ -370,7 +402,8 @@ def explain(
     predicted = model.predict_labels(X_std)
     c_z = int(model.predict_labels(z_std[None, :])[0])
 
-    x_border = closest_enemy(X_std, predicted, z_std, c_z)
+    distances = _euclidean(X_std, z_std)
+    x_border = closest_enemy(distances, predicted, c_z)
     local_indices = sample_local_training_set(X_std, predicted, x_border, cfg)
     surrogate = fit_local_linear(X_std, predicted, local_indices)
     surrogate.x_border = x_border
@@ -387,7 +420,7 @@ def explain(
     with np.errstate(over="ignore", invalid="ignore"):
         importances = feature_importances(surrogate, z_std)
         allies, enemies = retrieve_examples(
-            X_std, predicted, surrogate, z_std, c_z, cfg.k_examples
+            X_std, distances, predicted, surrogate, z_std, c_z, cfg.k_examples
         )
     if not np.all(np.isfinite([*importances, *(b for _, b in allies + enemies)])):
         raise ExplanationError(too_far.format("an importance or a dissimilarity"))

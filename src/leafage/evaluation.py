@@ -19,6 +19,7 @@ from . import models
 from .core import (
     LeafageConfig,
     LocalSurrogate,
+    _euclidean,
     closest_enemy,
     fit_local_linear,
     sample_local_training_set,
@@ -307,7 +308,7 @@ def run_setting(
             if strategy == "baseline":
                 surrogate = baseline
             elif strategy == "leafage":
-                x_border = closest_enemy(X_train, pred_train, z, c_z)
+                x_border = closest_enemy(_euclidean(X_train, z), pred_train, c_z)
                 local = sample_local_training_set(
                     X_train, pred_train, x_border, leafage_cfg
                 )

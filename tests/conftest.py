@@ -1,5 +1,6 @@
 import numpy as np
 
+from leafage.core import _euclidean, dissimilarities
 from leafage.data import Dataset
 from leafage.models.base import BlackBoxModel
 
@@ -16,6 +17,12 @@ def separable_blobs(n_per_class=60, seed=0, gap=4.0):
         [np.zeros(n_per_class, dtype=int), np.ones(n_per_class, dtype=int)]
     )
     return points, labels
+
+
+def dissim(s, z, rows):
+    """``dissimilarities`` with the distances ``explain`` passes it."""
+    rows = np.atleast_2d(rows)
+    return dissimilarities(s, z, rows, _euclidean(rows, z))
 
 
 def blob_dataset(n_per_class=60, seed=0, gap=4.0):

@@ -10,12 +10,11 @@ import json
 import numpy as np
 import pytest
 
-from conftest import FixedLinearModel
+from conftest import FixedLinearModel, dissim
 from leafage.cli import main
 from leafage.core import (
     LeafageConfig,
     LocalSurrogate,
-    dissimilarities,
     explain,
     feature_importances,
     sample_local_training_set,
@@ -159,8 +158,8 @@ class TestCriterion5DissimilarityProperties:
         # plus b(z) = 0 exactly
         for i in range(0, cases, 997):
             s = LocalSurrogate(weights=w[i], intercept=0.0)
-            assert dissimilarities(s, z[i], t[i][None, :])[0] == pytest.approx(b[i])
-            if dissimilarities(s, z[i], z[i][None, :])[0] != 0.0:
+            assert dissim(s, z[i], t[i][None, :])[0] == pytest.approx(b[i])
+            if dissim(s, z[i], z[i][None, :])[0] != 0.0:
                 zero_at_z = False
 
         # positive scaling preserves top-k sets and importance argsort
@@ -169,8 +168,8 @@ class TestCriterion5DissimilarityProperties:
             s1 = LocalSurrogate(weights=w[i], intercept=0.0)
             alpha = float(rng.uniform(0.01, 50.0))
             s2 = LocalSurrogate(weights=alpha * w[i], intercept=0.0)
-            b1 = dissimilarities(s1, z[i], rows)
-            b2 = dissimilarities(s2, z[i], rows)
+            b1 = dissim(s1, z[i], rows)
+            b2 = dissim(s2, z[i], rows)
             if not np.allclose(b2, alpha * b1, rtol=1e-9):
                 scaling_ok = False
             if set(np.argsort(b1, kind="stable")[:5]) != set(
@@ -186,7 +185,7 @@ class TestCriterion5DissimilarityProperties:
 
         # documented pseudometric counterexamples: orthogonal displacement
         s = LocalSurrogate(weights=np.array([1.0, 0.0]), intercept=0.0)
-        if dissimilarities(s, np.zeros(2), np.array([[0.0, 5.0]]))[0] != 0.0:
+        if dissim(s, np.zeros(2), np.array([[0.0, 5.0]]))[0] != 0.0:
             counterexample_ok = False
         displacement = rng.normal(size=(1000, d))
         w_fixed = rng.normal(size=d)
@@ -195,7 +194,7 @@ class TestCriterion5DissimilarityProperties:
         )
         s = LocalSurrogate(weights=w_fixed, intercept=0.0)
         z0 = rng.normal(size=d)
-        b_orth = dissimilarities(s, z0, z0 + displacement)
+        b_orth = dissim(s, z0, z0 + displacement)
         if not np.all(np.abs(b_orth) < 1e-9):
             counterexample_ok = False
 

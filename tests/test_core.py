@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FixedLinearModel
+from conftest import FixedLinearModel, dissim
 from leafage import lime, models
 from leafage.core import (
     SURROGATE_L2,
+    _euclidean,
     _smallest,
     Example,
     LeafageConfig,
@@ -28,29 +29,33 @@ def surrogate(w, c=0.0):
     return LocalSurrogate(weights=np.asarray(w, float), intercept=c)
 
 
+def nearest_enemy(X, predicted, z, c_z):
+    return closest_enemy(_euclidean(X, z), predicted, c_z)
+
+
 class TestClosestEnemy:
     def test_basic_scan(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
         predicted = np.array([0, 1, 1])
         # brute-force oracle: enemy distances to z are 0.8 and 2.8
-        assert closest_enemy(X, predicted, np.array([0.2, 0.0]), 0) == 1
+        assert nearest_enemy(X, predicted, np.array([0.2, 0.0]), 0) == 1
 
     def test_no_enemies(self):
         X = np.zeros((3, 2)) + np.arange(3)[:, None]
         with pytest.raises(NoEnemiesError):
-            closest_enemy(X, np.array([1, 1, 1]), np.zeros(2), 1)
+            nearest_enemy(X, np.array([1, 1, 1]), np.zeros(2), 1)
 
     def test_z_coincides_with_enemy(self):
         X = np.array([[0.0, 0.0], [5.0, 5.0]])
         predicted = np.array([0, 1])
         z = np.array([5.0, 5.0])
-        assert closest_enemy(X, predicted, z, 0) == 1
+        assert nearest_enemy(X, predicted, z, 0) == 1
 
     def test_tie_breaks_lowest_index(self):
         X = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 5.0]])
         predicted = np.array([1, 1, 0])
         # both enemies exactly distance 1 from origin
-        assert closest_enemy(X, predicted, np.zeros(2), 0) == 0
+        assert nearest_enemy(X, predicted, np.zeros(2), 0) == 0
 
 
 class TestSampler:
@@ -252,26 +257,35 @@ class TestSolverOptimum:
 
 class TestDissimilarity:
     def test_t_equals_z(self):
-        b = dissimilarities(surrogate([1.0, 2.0]), np.zeros(2), np.zeros((1, 2)))
+        b = dissim(surrogate([1.0, 2.0]), np.zeros(2), np.zeros((1, 2)))
         assert b.tolist() == [0.0]
 
     def test_orthogonal_displacement_is_zero(self):
         # documented pseudometric behaviour: t != z but b = 0
         s = surrogate([1.0, 0.0])
-        assert dissimilarities(s, np.zeros(2), np.array([[0.0, 5.0]])).tolist() == [0.0]
+        assert dissim(s, np.zeros(2), np.array([[0.0, 5.0]])).tolist() == [0.0]
 
     def test_hand_evaluated_product(self):
         s = surrogate([1.0, 0.0])
-        b = dissimilarities(s, np.zeros(2), np.array([[2.0, 0.0]]))
+        b = dissim(s, np.zeros(2), np.array([[2.0, 0.0]]))
         assert b[0] == pytest.approx(4.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ExplanationError, match="dimension"):
-            dissimilarities(surrogate([1.0, 0.0]), np.zeros(2), np.zeros((1, 3)))
+            dissimilarities(
+                surrogate([1.0, 0.0]), np.zeros(2), np.zeros((1, 3)), np.zeros(1)
+            )
+
+    @pytest.mark.parametrize("weights", [[1.0, 0.0], [0.0, 0.0]])
+    def test_distance_count_mismatch(self, weights):
+        with pytest.raises(ExplanationError, match="as many distances"):
+            dissimilarities(
+                surrogate(weights), np.zeros(2), np.zeros((3, 2)), np.zeros(2)
+            )
 
     def test_degenerate_falls_back_to_euclidean(self):
         s = surrogate([0.0, 0.0])
-        b = dissimilarities(s, np.zeros(2), np.array([[3.0, 4.0]]))
+        b = dissim(s, np.zeros(2), np.array([[3.0, 4.0]]))
         assert b[0] == pytest.approx(5.0)
 
     def test_vectorized_matches_scalar(self):
@@ -280,9 +294,9 @@ class TestDissimilarity:
         s = surrogate(rng.normal(size=4))
         z = rng.normal(size=4)
         rows = rng.normal(size=(20, 4))
-        bulk = dissimilarities(s, z, rows)
+        bulk = dissim(s, z, rows)
         for i in range(20):
-            assert bulk[i] == pytest.approx(dissimilarities(s, z, rows[i : i + 1])[0])
+            assert bulk[i] == pytest.approx(dissim(s, z, rows[i : i + 1])[0])
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=200, deadline=None)
@@ -292,7 +306,7 @@ class TestDissimilarity:
         s = surrogate(rng.normal(size=d))
         z = rng.normal(size=d)
         t = rng.normal(size=d)
-        at_t, at_z = dissimilarities(s, z, np.vstack([t, z]))
+        at_t, at_z = dissim(s, z, np.vstack([t, z]))
         assert at_t >= 0.0
         assert at_z == 0.0
 
@@ -305,7 +319,7 @@ class TestDissimilarity:
         s = surrogate(rng.normal(size=d))
         z = rng.normal(size=d)
         t = rng.normal(size=d)
-        at_t, reflected = dissimilarities(s, z, np.vstack([t, 2 * z - t]))
+        at_t, reflected = dissim(s, z, np.vstack([t, 2 * z - t]))
         assert reflected == pytest.approx(at_t, rel=1e-9)
 
     @given(
@@ -319,8 +333,8 @@ class TestDissimilarity:
         w = rng.normal(size=d)
         z = rng.normal(size=d)
         rows = rng.normal(size=(30, d))
-        base = dissimilarities(surrogate(w), z, rows)
-        scaled = dissimilarities(surrogate(alpha * w), z, rows)
+        base = dissim(surrogate(w), z, rows)
+        scaled = dissim(surrogate(alpha * w), z, rows)
         assert np.allclose(scaled, alpha * base, rtol=1e-9)
         assert np.array_equal(np.argsort(base, kind="stable"),
                               np.argsort(scaled, kind="stable"))
@@ -394,8 +408,8 @@ class TestRetrieve:
 
     def test_top_k_against_full_sort_oracle(self):
         X, predicted, s, z = self.setup_case()
-        allies, enemies = retrieve_examples(X, predicted, s, z, 1, 5)
-        b = dissimilarities(s, z, X)
+        allies, enemies = retrieve_examples(X, _euclidean(X, z), predicted, s, z, 1, 5)
+        b = dissim(s, z, X)
         for got, cls in ((allies, 1), (enemies, 0)):
             members = np.flatnonzero(predicted == cls)
             expected = members[np.lexsort((members, b[members]))][:5]
@@ -403,7 +417,7 @@ class TestRetrieve:
 
     def test_ascending_order(self):
         X, predicted, s, z = self.setup_case(seed=5)
-        allies, enemies = retrieve_examples(X, predicted, s, z, 0, 5)
+        allies, enemies = retrieve_examples(X, _euclidean(X, z), predicted, s, z, 0, 5)
         for got in (allies, enemies):
             values = [v for _, v in got]
             assert values == sorted(values)
@@ -412,7 +426,7 @@ class TestRetrieve:
         X, predicted, s, z = self.setup_case(seed=2, n=10)
         predicted[:] = 1
         predicted[3] = 0
-        allies, enemies = retrieve_examples(X, predicted, s, z, 1, 5)
+        allies, enemies = retrieve_examples(X, _euclidean(X, z), predicted, s, z, 1, 5)
         assert len(enemies) == 1
         assert len(allies) == 5
 
@@ -420,7 +434,7 @@ class TestRetrieve:
         X, predicted, s, _ = self.setup_case(seed=3)
         z = X[17].copy()
         predicted[17] = 1
-        allies, _ = retrieve_examples(X, predicted, s, z, 1, 5)
+        allies, _ = retrieve_examples(X, _euclidean(X, z), predicted, s, z, 1, 5)
         assert 17 not in [i for i, _ in allies]
 
 

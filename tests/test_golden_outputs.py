@@ -1,7 +1,8 @@
 """Byte-level goldens for the CLI outputs of every reference classifier.
 
 The default fidelity protocol run on ``ad`` with seed 0 (also with numpy's
-AVX-512 kernels, and then every dispatched kernel, switched off), a small
+AVX-512 kernels, and then every dispatched kernel, switched off, and with
+OpenBLAS's Haswell kernels in place of the ones it picks), a small
 run of all four strategies over the six black boxes, and one ``explain``
 report per black box are compared with files under ``tests/golden/``.  Set
 ``GOLDEN_UPDATE=1`` to rewrite them; do so only for a change that is meant
@@ -59,20 +60,29 @@ def test_evaluate_default_protocol(tmp_path):
     check_golden(table, "evaluate_ad_seed0.txt")
 
 
-@pytest.mark.parametrize(
-    "targets",
-    [("X86_V4", "AVX512_ICL", "AVX512_SPR"), tuple(__cpu_dispatch__)],
-    ids=["avx512", "baseline"],
-)
-def test_evaluate_default_protocol_without_avx512(tmp_path, targets):
-    # numpy picks its SIMD kernels (np.exp among them) at import; the
-    # protocol's bytes must depend neither on the AVX-512 ones nor on any
-    # kernel above the build's baseline.
-    disabled = [f for f in targets if __cpu_features__.get(f)]
-    if not disabled:
-        pytest.skip("this CPU runs none of these dispatch targets")
+DISPATCH_OFF = {
+    "avx512": ("X86_V4", "AVX512_ICL", "AVX512_SPR"),
+    "baseline": tuple(__cpu_dispatch__),
+}
+
+
+@pytest.mark.parametrize("mode", ["avx512", "baseline", "haswell"])
+def test_evaluate_default_protocol_without_avx512(tmp_path, mode):
+    # numpy picks its SIMD kernels (np.exp among them) at import, and
+    # OpenBLAS its gemm and gemv kernels at load; the protocol's bytes must
+    # depend neither on numpy's AVX-512 kernels, nor on any numpy kernel
+    # above the build's baseline, nor on OpenBLAS's kernels for AVX2 hosts.
+    env = dict(os.environ)
+    if mode == "haswell":
+        if not __cpu_features__.get("AVX2"):
+            pytest.skip("this CPU cannot run OpenBLAS's Haswell kernels")
+        env["OPENBLAS_CORETYPE"] = "Haswell"
+    else:
+        disabled = [f for f in DISPATCH_OFF[mode] if __cpu_features__.get(f)]
+        if not disabled:
+            pytest.skip("this CPU runs none of these dispatch targets")
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(disabled)
     src = str(Path(leafage.__file__).parents[1])
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(disabled))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = tmp_path / "results.csv"
     table = tmp_path / "results.txt"
