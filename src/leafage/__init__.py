@@ -6,20 +6,12 @@ surrogate fitted around the closest training row the model labels
 differently.  The package also ships six reference classifiers, a
 simplified LIME-style baseline and the AUC-based local-fidelity
 evaluation protocol used to compare them.
+
+The top level holds the documented API; the pipeline's steps are
+imported from their own modules, ``leafage.core``, ``leafage.lime`` and
+``leafage.evaluation``.
 """
-from .core import (
-    Example,
-    Explanation,
-    LeafageConfig,
-    LocalSurrogate,
-    closest_enemy,
-    dissimilarities,
-    explain,
-    feature_importances,
-    fit_local_linear,
-    retrieve_examples,
-    sample_local_training_set,
-)
+from .core import Example, Explanation, LeafageConfig, LocalSurrogate, explain
 from .data import (
     Dataset,
     SplitSpec,
@@ -36,16 +28,8 @@ from .errors import (
     ModelError,
     NoEnemiesError,
 )
-from .evaluation import (
-    FidelityConfig,
-    FidelitySummary,
-    auc,
-    fidelity_sphere,
-    results_table,
-    run_setting,
-    wilcoxon_signed_rank,
-)
-from .lime import LimeConfig, kernel_weights, lime_fit, lime_sample
+from .evaluation import FidelityConfig, FidelitySummary, results_table, run_setting
+from .lime import LimeConfig
 
 __version__ = "0.1.0"
 
@@ -61,22 +45,10 @@ __all__ = [
     "LocalSurrogate",
     "Example",
     "Explanation",
-    "closest_enemy",
-    "sample_local_training_set",
-    "fit_local_linear",
-    "dissimilarities",
-    "feature_importances",
-    "retrieve_examples",
     "explain",
     "LimeConfig",
-    "lime_sample",
-    "kernel_weights",
-    "lime_fit",
     "FidelityConfig",
     "FidelitySummary",
-    "auc",
-    "wilcoxon_signed_rank",
-    "fidelity_sphere",
     "run_setting",
     "results_table",
     "LeafageError",

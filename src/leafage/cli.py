@@ -41,7 +41,6 @@ from .lime import LimeConfig
 from .report import build_report, is_number, load_report, render_svg, write_report
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_MODEL = 4
 EXIT_EXPLANATION = 5

@@ -152,7 +152,8 @@ def load_csv(path: str, label_column: str) -> Dataset:
     deterministic code assignment).
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        # utf-8-sig drops the byte-order mark spreadsheet exports begin with.
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc.strerror}") from None
     with fh:
@@ -212,17 +213,13 @@ def save_csv(ds: Dataset, path: str) -> None:
             writer.writerow([repr(float(v)) for v in row] + [ds.class_names[label]])
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
 def train_test_split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     """Disjoint row partition; identical seed reproduces the partition."""
     if ds.n < 2:
         raise DataError("cannot split a dataset with fewer than 2 rows")
     rng = np.random.default_rng(spec.seed)
     # Each group (one per class when stratified, else all rows) is permuted
-    # and its first round_half_up(fraction * size) rows go to training.
+    # and its first fraction * size rows, rounded half up, go to training.
     if spec.stratified:
         groups = [np.flatnonzero(ds.labels == c) for c in range(len(ds.class_names))]
     else:
@@ -230,7 +227,7 @@ def train_test_split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     train_parts, test_parts = [], []
     for members in groups:
         perm = members[rng.permutation(members.size)]
-        k = _round_half_up(spec.train_fraction * members.size)
+        k = math.floor(spec.train_fraction * members.size + 0.5)
         train_parts.append(perm[:k])
         test_parts.append(perm[k:])
     train_idx = np.sort(np.concatenate(train_parts))

@@ -157,9 +157,9 @@ def _exact_signed_rank_p(ranks: np.ndarray, stat: float) -> float:
     counts = np.zeros(total + 1)
     counts[0] = 1.0
     for r in doubled:
-        shifted = np.zeros_like(counts)
-        shifted[r:] = counts[: total + 1 - r]
-        counts = counts + shifted
+        # numpy buffers the overlapping operand, so the shift reads the
+        # counts from before this rank.
+        counts[r:] += counts[: total + 1 - r]
     denom = 2.0 ** len(ranks)
     t2 = int(np.rint(2.0 * stat))
     p_le = counts[: t2 + 1].sum() / denom
@@ -173,9 +173,8 @@ def _normal_signed_rank_p(ranks: np.ndarray, stat: float) -> float:
     mean = n * (n + 1) / 4.0
     var = n * (n + 1) * (2 * n + 1) / 24.0
     _, tie_counts = np.unique(ranks, return_counts=True)
+    # Ties remove at most (n^3 - n) / 48, so var stays positive.
     var -= float((tie_counts**3 - tie_counts).sum()) / 48.0
-    if var <= 0:
-        return 1.0
     z = (stat - mean) / math.sqrt(var)
     return math.erfc(abs(z) / math.sqrt(2.0))
 
@@ -220,17 +219,14 @@ def fidelity_sphere(
     excluded; the ball is closed.
     """
     predicted = np.asarray(predicted)
-    z = features[z_index]
-    c_z = predicted[z_index]
-    diff = features - z
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    dist = _euclidean(features, features[z_index])
     others = np.arange(features.shape[0]) != z_index
-    enemy = (predicted != c_z) & others
+    enemy = (predicted != predicted[z_index]) & others
     n_enemy = int(enemy.sum())
     if n_enemy == 0:
         raise NoEnemiesError("no test instance has the opposite predicted label")
-    enemy_dist = np.sort(dist[enemy])
-    radius = enemy_dist[math.ceil(p * n_enemy) - 1]
+    k = math.ceil(p * n_enemy) - 1
+    radius = np.partition(dist[enemy], k)[k]
     return np.flatnonzero((dist <= radius) & others)
 
 

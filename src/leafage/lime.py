@@ -89,14 +89,22 @@ def lime_fit(model, z: np.ndarray, cfg: LimeConfig) -> LocalSurrogate:
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1:
         raise ExplanationError(f"instance has shape {z.shape}, expected one row")
-    d = z.size
-    samples = lime_sample(d, cfg)
-    weights, intercept = weighted_logistic_fit(
-        samples,
-        model.predict_labels(samples),
-        sample_weight=kernel_weights(z, samples, kernel_width(d)),
-    )
+    samples = lime_sample(z.size, cfg)
+    weights, intercept = _kernel_fit(model, samples, samples, z)
     return LocalSurrogate(weights=weights, intercept=intercept)
+
+
+def _kernel_fit(
+    model, samples: np.ndarray, points: np.ndarray, z_point: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Fit on ``points``, the samples in the surrogate's representation,
+    against the black box's labels of ``samples``, kernel-weighted around
+    ``z_point``, the instance in that representation."""
+    return weighted_logistic_fit(
+        points,
+        model.predict_labels(samples),
+        sample_weight=kernel_weights(z_point, points, kernel_width(points.shape[1])),
+    )
 
 
 @dataclass(frozen=True)
@@ -226,11 +234,7 @@ def lime_quartile_fit(
     codes, samples = bins.sample(cfg.n_samples, np.random.default_rng(cfg.seed))
     z_codes = bins.encode(z[None, :])[0]
     binary = (codes == z_codes).astype(np.float64)
-    weights, intercept = weighted_logistic_fit(
-        binary,
-        model.predict_labels(samples),
-        sample_weight=kernel_weights(np.ones(bins.d), binary, kernel_width(bins.d)),
-    )
+    weights, intercept = _kernel_fit(model, samples, binary, np.ones(bins.d))
     return QuartileSurrogate(
         weights=weights, intercept=intercept, bins=bins, z_codes=z_codes
     )

@@ -37,12 +37,15 @@ __all__ = [
 ]
 
 ALGORITHMS = {
-    "lr": LogisticRegressionModel,
-    "svm": LinearSVMModel,
-    "lda": LDAModel,
-    "dt": DecisionTreeModel,
-    "rf": RandomForestModel,
-    "knn": KNearestModel,
+    cls.descriptor: cls
+    for cls in (
+        LogisticRegressionModel,
+        LinearSVMModel,
+        LDAModel,
+        DecisionTreeModel,
+        RandomForestModel,
+        KNearestModel,
+    )
 }
 
 CANONICAL_ALGORITHMS = tuple(ALGORITHMS)

@@ -72,9 +72,10 @@ class _Tree:
 
 
 def _best_split(
-    X: np.ndarray, y: np.ndarray, rows: np.ndarray, feature_ids: np.ndarray
+    X: np.ndarray, ys: np.ndarray, rows: np.ndarray, feature_ids: np.ndarray
 ) -> tuple[int, float] | None:
-    """Lowest weighted child Gini over midpoint candidates.
+    """Lowest weighted child Gini over midpoint candidates; ``ys`` holds
+    the labels of the node's ``rows``.
 
     Returns None when every candidate feature is constant on the node.
     Ties resolve to the lowest feature id, then the lowest threshold,
@@ -82,20 +83,20 @@ def _best_split(
     thresholds ascend within a feature.
     """
     n = rows.size
+    # The split after the i-th sorted row: the same for every feature.
+    count_left = np.arange(1, n)
+    count_right = n - count_left
+    pos_total = np.count_nonzero(ys)
     best = (np.inf, -1, 0.0)
     for f in feature_ids:
         values = X[rows, f]
         order = np.argsort(values, kind="stable")
         sv = values[order]
-        sy = y[rows][order]
         distinct = sv[1:] != sv[:-1]
         if not distinct.any():
             continue
-        pos_left = np.cumsum(sy)[:-1]
-        count_left = np.arange(1, n)
-        pos_total = pos_left[-1] + sy[-1]
+        pos_left = np.cumsum(ys[order])[:-1]
         pos_right = pos_total - pos_left
-        count_right = n - count_left
         p1l = pos_left / count_left
         p1r = pos_right / count_right
         gini_l = 2.0 * p1l * (1.0 - p1l)
@@ -137,9 +138,9 @@ def _grow(
         split = None
         if max_features < d:
             candidates = np.sort(rng.choice(d, size=max_features, replace=False))
-            split = _best_split(X, y, rows, candidates)
+            split = _best_split(X, ys, rows, candidates)
         if split is None:
-            split = _best_split(X, y, rows, all_features)
+            split = _best_split(X, ys, rows, all_features)
         if split is None:
             continue
         f, t = split

@@ -193,28 +193,29 @@ def _escape(text: str) -> str:
 _BAR_COLOR = "#4878a8"
 _ROW_H = 22
 _FONT = 'font-family="monospace" font-size="12"'
+_BOLD = 'font-weight="bold"'
+
+
+def _text(x, y, text: str, style: str = "") -> str:
+    """One escaped 12-pt text element; ``style`` adds attributes."""
+    font = f"{_FONT} {style}" if style else _FONT
+    return f'<text x="{x}" y="{y}" {font}>{_escape(text)}</text>'
 
 
 def _table(
     x: int, y: int, title: str, columns: list[str], rows: list[list[str]]
 ) -> tuple[list[str], int]:
     col_w = 88
-    parts = [
-        f'<text x="{x}" y="{y}" {_FONT} font-weight="bold">{_escape(title)}</text>'
-    ]
+    parts = [_text(x, y, title, _BOLD)]
     y += 8
     for j, col in enumerate(columns):
         parts.append(
-            f'<text x="{x + j * col_w}" y="{y + _ROW_H - 8}" {_FONT} '
-            f'font-style="italic">{_escape(col)}</text>'
+            _text(x + j * col_w, y + _ROW_H - 8, col, 'font-style="italic"')
         )
     for i, row in enumerate(rows):
         ry = y + (i + 1) * _ROW_H
         for j, cell in enumerate(row):
-            parts.append(
-                f'<text x="{x + j * col_w}" y="{ry + _ROW_H - 8}" {_FONT}>'
-                f"{_escape(cell)}</text>"
-            )
+            parts.append(_text(x + j * col_w, ry + _ROW_H - 8, cell))
     return parts, y + (len(rows) + 1) * _ROW_H + 16
 
 
@@ -236,39 +237,30 @@ def render_svg(report: dict) -> str:
     y = 56
     if report["flags"]:
         banner = "flags: " + ", ".join(report["flags"])
-        parts.append(
-            f'<text x="16" y="{y}" {_FONT} fill="#a84444">{_escape(banner)}</text>'
-        )
+        parts.append(_text(16, y, banner, 'fill="#a84444"'))
         y += 28
 
     entries = sorted(report["importances"], key=lambda e: e["rank"])
     max_importance = max((e["importance"] for e in entries), default=0.0)
     parts.append(
-        f'<text x="16" y="{y}" {_FONT} font-weight="bold">'
-        f"Relative feature importance (standardized units)</text>"
+        _text(16, y, "Relative feature importance (standardized units)", _BOLD)
     )
     y += 12
     if max_importance > 0.0:
         for e in entries:
             bar = 220.0 * e["importance"] / max_importance
             label = f'{e["feature"]} = {_fmt(e["value"])}'
-            parts.append(
-                f'<text x="16" y="{y + _ROW_H - 8}" {_FONT}>{_escape(label)}</text>'
-            )
+            parts.append(_text(16, y + _ROW_H - 8, label))
             parts.append(
                 f'<rect x="140" y="{y + 6}" width="{bar:.1f}" height="12" '
                 f'fill="{_BAR_COLOR}"/>'
             )
             parts.append(
-                f'<text x="{140 + bar + 6:.1f}" y="{y + _ROW_H - 8}" {_FONT}>'
-                f'{_fmt(e["importance"])}</text>'
+                _text(f"{140 + bar + 6:.1f}", y + _ROW_H - 8, _fmt(e["importance"]))
             )
             y += _ROW_H
     else:
-        parts.append(
-            f'<text x="16" y="{y + _ROW_H - 8}" {_FONT}>'
-            f"(importances unavailable)</text>"
-        )
+        parts.append(_text(16, y + _ROW_H - 8, "(importances unavailable)"))
         y += _ROW_H
     left_bottom = y + 16
 

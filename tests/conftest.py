@@ -1,5 +1,10 @@
 import numpy as np
 
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
 from leafage.core import _euclidean, dissimilarities
 from leafage.data import Dataset
 from leafage.models.base import BlackBoxModel

@@ -67,6 +67,14 @@ class TestGenAd:
         assert exc.value.code == 2
         assert not out.exists()
 
+    def test_non_integer_seed_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "ad.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["gen-ad", "--seed", "abc", "--out", out])
+        assert exc.value.code == 2
+        assert "must be a non-negative integer, got 'abc'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExplain:
     def test_ad_knn_report_shape(self, tmp_path):
@@ -103,6 +111,31 @@ class TestExplain:
             run(["explain", "--train", "ad", "--model", "knn",
                  "--instance", "{broken", "--seed", 1, "--out", out])
         assert exc.value.code == 2
+
+    def test_instance_json_not_an_object_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            run(["explain", "--train", "ad", "--model", "knn",
+                 "--instance", "[1, 2]", "--seed", 1, "--out", out])
+        assert exc.value.code == 2
+        assert "must be an object" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_byte_order_marked_csv(self, tmp_path):
+        # A spreadsheet's "CSV UTF-8" export: the BOM must not stick to
+        # the first column's name.
+        train = tmp_path / "train.csv"
+        rng = np.random.default_rng(0)
+        rows = [f"{a},{b},{'AB'[i % 2]}" for i, (a, b) in
+                enumerate(rng.normal(size=(40, 2)))]
+        train.write_text("\n".join(["x1,x2,label", *rows]) + "\n",
+                         encoding="utf-8-sig")
+        out = tmp_path / "report.json"
+        code = run(["explain", "--train", train, "--model", "knn",
+                    "--instance", json.dumps({"x1": 0.1, "x2": 0.9}),
+                    "--seed", 1, "--out", out])
+        assert code == 0
+        assert list(load_report(str(out))["instance"]) == ["x1", "x2"]
 
     def test_inline_json_instance(self, tmp_path):
         out = tmp_path / "report.json"

@@ -430,6 +430,11 @@ class TestRetrieve:
         assert len(enemies) == 1
         assert len(allies) == 5
 
+    def test_k_below_one_rejected(self):
+        X, predicted, s, z = self.setup_case()
+        with pytest.raises(ExplanationError, match="k must be at least 1"):
+            retrieve_examples(X, _euclidean(X, z), predicted, s, z, 1, 0)
+
     def test_duplicate_of_z_excluded_from_allies(self):
         X, predicted, s, _ = self.setup_case(seed=3)
         z = X[17].copy()
@@ -512,6 +517,32 @@ class TestExplain:
         assert [x.index for x in a.allies] == [x.index for x in b.allies]
         assert [x.index for x in a.enemies] == [x.index for x in b.enemies]
         assert np.array_equal(a.surrogate.weights, b.surrogate.weights)
+
+    def test_degenerate_surrogate_flagged(self):
+        # Every training row lies left of the boundary and the instance
+        # right of it: the local sample is all class 0.
+        ds, sc = self.standardized_ad(n=30)
+        X_std = sc.transform(ds.features)
+        edge = X_std[:, 0].max()
+        model = FixedLinearModel([1.0, 0.0], -(edge + 0.5))
+        z_std = np.array([edge + 1.0, 0.0])
+        e = explain(model, ds, z_std * sc.scales + sc.means, standardizer=sc)
+        assert e.predicted_class == "B"
+        assert e.flags == (
+            "ally_shortfall", "degenerate_surrogate", "local_sample_shortfall_class_1"
+        )
+        assert e.importances.tolist() == [0.0, 0.0]
+        assert e.allies == []
+        distances = _euclidean(X_std, sc.transform(e.test_instance[None, :])[0])
+        nearest = np.lexsort((np.arange(ds.n), distances))[:5]
+        assert [x.index for x in e.enemies] == nearest.tolist()
+        assert [x.dissimilarity for x in e.enemies] == distances[nearest].tolist()
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 2)])
+    def test_wrong_shaped_instance_rejected(self, shape):
+        ds, sc = self.standardized_ad(n=20)
+        with pytest.raises(ExplanationError, match="instance has shape"):
+            explain(FixedLinearModel([1.0, 0.0]), ds, np.zeros(shape), standardizer=sc)
 
     def test_three_class_dataset_rejected(self):
         X = np.random.default_rng(0).normal(size=(30, 2))

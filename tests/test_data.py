@@ -90,6 +90,32 @@ class TestLoadCsv:
         assert np.array_equal(back.features, ds.features)
         assert back.class_names == ds.class_names
         assert np.array_equal(back.labels, ds.labels)
+        assert (tmp_path / "ad.csv").read_bytes().startswith(b"x1,x2,label\r\n")
+
+    @pytest.mark.parametrize("text", [
+        "label,x1,x2\nA,1,2\nB,3,4\n",
+        "x1,x2,label\n1,2,A\n3,4,B\n",
+    ])
+    def test_byte_order_mark_skipped(self, tmp_path, text):
+        # Spreadsheets' "CSV UTF-8" export starts the file with a BOM.
+        path = tmp_path / "bom.csv"
+        path.write_text(text, encoding="utf-8-sig")
+        ds = load_csv(str(path), "label")
+        assert ds.column_names == ["x1", "x2"]
+        assert ds.class_names == ["A", "B"]
+        assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = write(tmp_path, "a,label\n1,x\n\n2,y\n")
+        assert load_csv(path, "label").features.tolist() == [[1.0], [2.0]]
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"),
+        ("a,label\n1,x\n2\n", "row 2 has 1 cells, expected 2"),
+    ])
+    def test_malformed_file_rejected(self, tmp_path, text, message):
+        with pytest.raises(DataError, match=message):
+            load_csv(write(tmp_path, text), "label")
 
 
 class TestSplit:
@@ -144,6 +170,11 @@ class TestSplit:
         with pytest.raises(DataError):
             SplitSpec(train_fraction=1.0)
 
+    def test_single_row_rejected(self):
+        ds = Dataset(np.zeros((1, 1)), [0], ["a"], ["x"])
+        with pytest.raises(DataError, match="fewer than 2 rows"):
+            train_test_split(ds, SplitSpec())
+
 
 class TestOneVsRest:
     def three_class(self):
@@ -188,6 +219,10 @@ class TestArtificial:
         ds = generate_artificial(1, seed=0)
         assert ds.n == 2
         assert ds.class_counts().tolist() == [1, 1]
+
+    def test_empty_class_rejected(self):
+        with pytest.raises(DataError, match="n_per_class must be at least 1"):
+            generate_artificial(0, seed=0)
 
     def test_deterministic(self):
         assert np.array_equal(
@@ -250,6 +285,16 @@ class TestDatasetInvariants:
     def test_row_count_mismatch(self):
         with pytest.raises(DataError, match="mismatch"):
             Dataset(np.zeros((3, 2)), np.zeros(2, dtype=int), ["a", "b"], ["x"])
+
+    @pytest.mark.parametrize("features, labels, columns, message", [
+        (np.zeros(3), [0, 0, 0], ["a"], "must be two-dimensional"),
+        (np.zeros((2, 2)), [0, 0], ["a"], "column_names length"),
+        (np.zeros((2, 0)), [0, 0], [], "at least one feature column"),
+        (np.zeros((2, 1)), [0, 2], ["a"], "label codes out of range"),
+    ])
+    def test_malformed_dataset_rejected(self, features, labels, columns, message):
+        with pytest.raises(DataError, match=message):
+            Dataset(features, labels, columns, ["x", "y"])
 
     def test_nonfinite_rejected(self):
         bad = np.array([[1.0, np.inf], [0.0, 1.0]])

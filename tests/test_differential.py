@@ -6,13 +6,19 @@ both must give the bits of the plain formulas kept here: the Newton
 kernel as whole-array expressions, and each geometry step with its own
 distance pass over the rows it reads.
 """
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import __cpu_features__
+import leafage
 from leafage import lime, models
 from leafage.core import (
     SURROGATE_L2,
@@ -253,3 +259,23 @@ class TestGeometry:
             with pytest.raises(ExplanationError, match="too far.*a dissimilarity"):
                 explain(fitted.model, ds, np.array([1e160, 0.0]),
                         standardizer=fitted.standardizer)
+
+
+def test_module_under_haswell_kernels():
+    # OpenBLAS picks its gemm and gemv kernels at load, by the CPU.  A
+    # buffer layout can match the plain formulas' bits on this CPU's
+    # kernels and not on the Haswell ones an AVX2-only host loads, so the
+    # module runs again with those.
+    if os.environ.get("OPENBLAS_CORETYPE") == "Haswell":
+        pytest.skip("this run already uses the Haswell kernels")
+    if not __cpu_features__.get("AVX2"):
+        pytest.skip("this CPU cannot run OpenBLAS's Haswell kernels")
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
+    src = str(Path(leafage.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__],
+        cwd=Path(__file__).parents[1], env=env, capture_output=True, text=True,
+        timeout=600,
+    )
+    assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-2000:]

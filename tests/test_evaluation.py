@@ -54,6 +54,10 @@ class TestAuc:
         with pytest.raises(DataError, match="positive and one negative"):
             auc([1, 1, 1], [0.1, 0.2, 0.3])
 
+    def test_length_mismatch(self):
+        with pytest.raises(DataError, match="equal length"):
+            auc([1, 0, 1], [0.1, 0.2])
+
     def test_matches_bruteforce_with_ties(self):
         rng = np.random.default_rng(0)
         for _ in range(300):
@@ -172,6 +176,44 @@ class TestWilcoxon:
     def test_length_mismatch(self):
         with pytest.raises(DataError):
             wilcoxon_signed_rank(np.zeros(3), np.zeros(4))
+
+    def test_exact_counts_match_copy_and_add(self):
+        # The shift-and-add over a fresh array, as a reference for the
+        # in-place update: the p values agree bit for bit.
+        def reference_p(ranks, stat):
+            doubled = np.rint(2.0 * ranks).astype(np.int64)
+            total = int(doubled.sum())
+            counts = np.zeros(total + 1)
+            counts[0] = 1.0
+            for r in doubled:
+                shifted = np.zeros_like(counts)
+                shifted[r:] = counts[: total + 1 - r]
+                counts = counts + shifted
+            t2 = int(np.rint(2.0 * stat))
+            denom = 2.0 ** len(ranks)
+            p_le, p_ge = counts[: t2 + 1].sum() / denom, counts[t2:].sum() / denom
+            return min(1.0, 2.0 * min(p_le, p_ge))
+
+        rng = np.random.default_rng(4)
+        for _ in range(60):
+            n = int(rng.integers(6, evaluation.WILCOXON_EXACT_LIMIT + 1))
+            diff = rng.integers(-4, 5, size=n) * 0.5  # tied |differences|
+            if rng.uniform() < 0.5:
+                diff = diff + rng.normal(size=n)
+            diff = diff[diff != 0]
+            if diff.size < 6:
+                continue
+            ranks = evaluation._rank_average(np.abs(diff))
+            stat = float(ranks[diff > 0].sum())
+            assert evaluation._exact_signed_rank_p(ranks, stat) == reference_p(ranks, stat)
+
+    def test_one_tie_group_keeps_normal_variance_positive(self):
+        # A single group of n ties removes (n^3 - n) / 48, the most ties
+        # can, which leaves a variance of 3n(n + 1)^2 / 48.
+        result = wilcoxon_signed_rank(np.ones(30), np.zeros(30))
+        assert result.method == "normal"
+        z = (30 * 15.5 - 30 * 31 / 4) / math.sqrt(3 * 30 * 31**2 / 48)
+        assert result.p_value == pytest.approx(math.erfc(z / math.sqrt(2)))
 
 
 class TestFidelitySphere:
@@ -374,6 +416,18 @@ class TestRunSetting:
             skipped = np.isnan(summary.per_instance_auc)
             assert np.flatnonzero(skipped).tolist() == [4]
             assert summary.n_skipped == 1 and summary.n_scored == 9
+
+    def test_non_binary_dataset_rejected(self):
+        X = np.random.default_rng(0).normal(size=(30, 2))
+        ds = Dataset(X, np.arange(30) % 3, ["x1", "x2"], ["x", "y", "z"])
+        train, test = train_test_split(ds, SplitSpec(seed=0))
+        with pytest.raises(DataError, match="requires binary datasets"):
+            run_setting(train, test, "lr")
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, 1.5])
+    def test_sphere_fraction_outside_open_unit_interval(self, p):
+        with pytest.raises(DataError, match="p must lie strictly between 0 and 1"):
+            FidelityConfig(p=p)
 
     def test_unknown_strategy(self):
         ds = generate_artificial(20, seed=0)

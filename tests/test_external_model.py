@@ -60,6 +60,13 @@ class TestFailureModes:
             with pytest.raises(ModelError, match="exited"):
                 model.predict_labels(np.array([[1.0]]))
 
+    def test_exited_child_refuses_requests(self, tmp_path):
+        quitter = "import sys; sys.exit(0)\n"
+        with ExternalModel(stub_command(tmp_path, quitter), n_features=1) as model:
+            model._proc.wait()
+            with pytest.raises(ModelError, match="not accepting requests"):
+                model.predict_labels(np.array([[1.0]]))
+
     def test_malformed_response(self, tmp_path):
         babbler = textwrap.dedent(
             """

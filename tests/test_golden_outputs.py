@@ -15,11 +15,7 @@ from pathlib import Path
 
 import pytest
 
-try:
-    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-except ImportError:  # numpy 1.x
-    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-
+from conftest import __cpu_dispatch__, __cpu_features__
 import leafage
 from leafage.cli import main
 from leafage.models import CANONICAL_ALGORITHMS

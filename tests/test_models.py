@@ -516,6 +516,10 @@ class TestKNNGramForm:
 
 
 class TestFitFactory:
+    def test_algorithms_in_canonical_order(self):
+        assert models.CANONICAL_ALGORITHMS == ("lr", "svm", "lda", "dt", "rf", "knn")
+        assert all(cls.descriptor == name for name, cls in models.ALGORITHMS.items())
+
     def test_unknown_algorithm(self):
         ds = generate_artificial(10, seed=0)
         with pytest.raises(ModelError, match="unknown algorithm"):
@@ -546,6 +550,7 @@ class TestFitFactory:
         ([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0], "labels of shape"),
         ([[0.0], [1.0], [2.0]], [0, 1, 0, 1], "labels of shape"),
         ([["a"], ["b"], ["c"]], [0, 1, 0], "numeric"),
+        ([[0.0, 1.0]], [1], "at least 2 training rows"),
     ])
     def test_bad_training_input_rejected(self, algorithm, features, labels, message):
         with pytest.raises(ModelError, match=message):
@@ -640,6 +645,11 @@ class TestPredictContract:
         model = fit("lda", ds)
         with pytest.raises(ModelError, match="dimension mismatch"):
             model.predict_labels(np.zeros((3, 5)))
+
+    def test_one_dimensional_batch(self):
+        model = fit("lda", generate_artificial(10, seed=0))
+        with pytest.raises(ModelError, match="expected a 2-d batch of rows"):
+            model.predict_labels(np.zeros(2))
 
 
 @st.composite

@@ -134,6 +134,28 @@ class TestReportDocument:
         with pytest.raises(DataError, match=f"{section} entry must be an object"):
             validate_report(report)
 
+    @pytest.mark.parametrize("field, bad, message", [
+        ("importance", "0.5", "field 'importance' must be a number"),
+        ("rank", 1.0, "field 'rank' must be an integer"),
+        ("rank", True, "field 'rank' must be an integer"),
+        ("feature", 3, "field 'feature' must be str"),
+    ])
+    def test_wrong_typed_field_rejected(self, field, bad, message):
+        report = reference_report()
+        report["importances"][0][field] = bad
+        with pytest.raises(DataError, match=f"importances entry: {message}"):
+            validate_report(report)
+
+    def test_non_string_flag_rejected(self):
+        report = reference_report()
+        report["flags"] = ["ally_shortfall", 1]
+        with pytest.raises(DataError, match="flags must be strings"):
+            validate_report(report)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(DataError, match="cannot open .*absent.json"):
+            load_report(str(tmp_path / "absent.json"))
+
     def test_wrong_schema_version(self):
         report = reference_report()
         report["schema_version"] = 99
