@@ -206,6 +206,11 @@ def load_csv(path: str, label_column: str) -> Dataset:
 
 def save_csv(ds: Dataset, path: str) -> None:
     """Write a Dataset back to CSV: the features, then a ``label`` column."""
+    if "label" in ds.column_names:
+        raise DataError(
+            f"cannot save to {path}: feature column 'label' would clash with "
+            "the label column"
+        )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(ds.column_names) + ["label"])

@@ -6,32 +6,32 @@ Wire protocol, one JSON document per line on stdin/stdout:
     response: {"labels": [int, ...]}
 
 Labels are the integers 0 and 1; ``true`` and ``false`` are refused.  A
-handle owns its child process: requests are serialized (one in flight at
-a time) and responses are matched to requests by order.  An I/O thread
-writes each request and reads its reply, so the timeout bounds the whole
-exchange, sending included.  A request that times out kills the child,
-since its late reply would otherwise answer the next request; the handle
-is then closed and every later request raises.  The child's stderr goes
-to an anonymous temporary file; when the child stops answering, the last
-2 KB of it are appended to the error.
+handle owns its child process, started from ``command``, an argv list.
+Requests are serialized (one in flight at a time) and each is answered by
+exactly one line.  The calling thread polls the child's stdin and stdout
+against one deadline, so the timeout bounds the whole exchange, sending
+included.  A reply that is not UTF-8 JSON is a ``ModelError``.  A request
+that times out, or is answered by more than one line, kills the child,
+since the late or stray line would otherwise answer the next request; the
+handle is then closed and every later request raises.  The child's stderr
+goes to an anonymous temporary file; when the child stops answering, the
+last 2 KB of it are appended to the error.
 """
 from __future__ import annotations
 
 import json
 import os
-import queue
-import shlex
-import subprocess
+import select
+from subprocess import PIPE, Popen, TimeoutExpired
 import tempfile
 import threading
+import time
 
 import numpy as np
 
 from ..errors import ModelError
 from .base import BlackBoxModel, check_matrix
 
-_EOF = object()
-_REFUSED = object()
 _STDERR_TAIL = 2048
 
 
@@ -40,7 +40,7 @@ class ExternalModel(BlackBoxModel):
 
     def __init__(
         self,
-        command: str | list[str],
+        command: list[str],
         n_features: int,
         timeout_ms: int = 10_000,
         descriptor: str = "external",
@@ -48,38 +48,19 @@ class ExternalModel(BlackBoxModel):
         self.descriptor = descriptor
         self.n_features = n_features
         self.timeout_ms = timeout_ms
-        argv = shlex.split(command) if isinstance(command, str) else list(command)
-        # A file, not a pipe: the child can never block on a full stderr
-        # and no reader thread is needed.
+        # A file, not a pipe: the child can never block on a full stderr.
         self._stderr = tempfile.TemporaryFile(buffering=0)
         try:
-            self._proc = subprocess.Popen(
-                argv,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=self._stderr,
-                text=True,
-            )
+            self._proc = Popen(command, stdin=PIPE, stdout=PIPE, stderr=self._stderr)
         except OSError as exc:
             self._stderr.close()
-            raise ModelError(f"cannot launch external model {argv!r}: {exc}") from None
-        self._requests: queue.Queue = queue.Queue()
-        self._replies: queue.Queue = queue.Queue()
-        self._io = threading.Thread(target=self._exchange, daemon=True)
-        self._io.start()
+            raise ModelError(
+                f"cannot launch external model {command!r}: {exc}"
+            ) from None
+        # A write then takes what the pipe has room for and never blocks.
+        os.set_blocking(self._proc.stdin.fileno(), False)
         self._lock = threading.Lock()
         self._closed_because: str | None = None
-
-    def _exchange(self) -> None:
-        """Write each queued request and queue its reply line, until None."""
-        for request in iter(self._requests.get, None):
-            try:
-                self._proc.stdin.write(request)
-                self._proc.stdin.flush()
-            except (OSError, ValueError):  # a dead child, or stdin closed
-                self._replies.put(_REFUSED)
-                continue
-            self._replies.put(self._proc.stdout.readline() or _EOF)
 
     def _failure(self, message: str) -> ModelError:
         """``message`` plus the last bytes the child wrote to stderr."""
@@ -91,24 +72,57 @@ class ExternalModel(BlackBoxModel):
             message += f"; stderr tail:\n{tail.rstrip()}"
         return ModelError(message)
 
+    def _shut(self, reason: str) -> ModelError:
+        """Kill the child and close the handle because of ``reason``."""
+        self._proc.kill()
+        self._proc.wait()
+        self._closed_because = reason
+        return self._failure(f"external model: {reason}")
+
+    def _exchange(self, request: bytes) -> bytes:
+        """Send ``request``; return its reply line, or at EOF the unterminated rest."""
+        stdin, stdout = self._proc.stdin.fileno(), self._proc.stdout.fileno()
+        poller = select.poll()
+        poller.register(stdout, select.POLLIN)
+        # Bytes waiting before the request is sent are a stray line.
+        if poller.poll(0) and os.read(stdout, 1):
+            raise self._shut("a request was answered by more than one line")
+        poller.register(stdin, select.POLLOUT)
+        deadline = time.monotonic() + self.timeout_ms / 1000.0
+        pending, reply = memoryview(request), bytearray()
+        while pending or b"\n" not in reply:
+            wait_ms = int((deadline - time.monotonic()) * 1000.0)
+            events = dict(poller.poll(wait_ms)) if wait_ms > 0 else {}
+            if not events:
+                raise self._shut(f"a request timed out after {self.timeout_ms} ms")
+            if pending and events.get(stdin):
+                try:
+                    pending = pending[os.write(stdin, pending) :]
+                except BrokenPipeError:
+                    raise self._failure(
+                        "external model process is not accepting requests"
+                    ) from None
+                if not pending:
+                    poller.unregister(stdin)
+            if events.get(stdout):
+                chunk = os.read(stdout, 1 << 16)
+                if not chunk:
+                    if reply:
+                        break
+                    raise self._failure("external model process exited mid-request")
+                reply += chunk
+        line, _, stray = bytes(reply).partition(b"\n")
+        if stray:
+            raise self._shut("a request was answered by more than one line")
+        return line
+
     def predict_labels(self, rows: np.ndarray) -> np.ndarray:
         rows = check_matrix(rows, self.n_features)
-        request = json.dumps({"op": "predict", "instances": rows.tolist()})
+        request = json.dumps({"op": "predict", "instances": rows.tolist()}) + "\n"
         with self._lock:
             if self._closed_because is not None:
                 raise ModelError(f"external model is closed: {self._closed_because}")
-            self._requests.put(request + "\n")
-            try:
-                line = self._replies.get(timeout=self.timeout_ms / 1000.0)
-            except queue.Empty:
-                self._proc.kill()
-                self._proc.wait()
-                self._closed_because = f"a request timed out after {self.timeout_ms} ms"
-                raise self._failure(f"external model: {self._closed_because}") from None
-            if line is _REFUSED:
-                raise self._failure("external model process is not accepting requests")
-            if line is _EOF:
-                raise self._failure("external model process exited mid-request")
+            line = self._exchange(request.encode()).decode(errors="replace")
         try:
             payload = json.loads(line)
         except json.JSONDecodeError:
@@ -125,19 +139,13 @@ class ExternalModel(BlackBoxModel):
 
     def close(self) -> None:
         self._closed_because = self._closed_because or "close() was called"
-        self._requests.put(None)
-        try:
-            self._proc.stdin.close()
-        except OSError:
-            pass
+        self._proc.stdin.close()
         try:
             self._proc.wait(timeout=2)
-        except subprocess.TimeoutExpired:
+        except TimeoutExpired:
             self._proc.kill()
             self._proc.wait()
-        self._io.join(timeout=2)
-        if not self._io.is_alive():
-            self._proc.stdout.close()
+        self._proc.stdout.close()
         self._stderr.close()
 
     def __enter__(self) -> "ExternalModel":

@@ -92,6 +92,13 @@ class TestLoadCsv:
         assert np.array_equal(back.labels, ds.labels)
         assert (tmp_path / "ad.csv").read_bytes().startswith(b"x1,x2,label\r\n")
 
+    def test_save_refuses_a_feature_named_label(self, tmp_path):
+        ds = load_csv(write(tmp_path, "label,x2,class\n1,2,A\n3,4,B\n"), "class")
+        out = tmp_path / "out.csv"
+        with pytest.raises(DataError, match="feature column 'label'"):
+            save_csv(ds, str(out))
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", [
         "label,x1,x2\nA,1,2\nB,3,4\n",
         "x1,x2,label\n1,2,A\n3,4,B\n",

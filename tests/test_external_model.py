@@ -1,6 +1,7 @@
 import json
 import sys
 import textwrap
+import threading
 import time
 
 import numpy as np
@@ -51,6 +52,29 @@ class TestProtocol:
         for _ in range(5):
             labels = sign_model.predict_labels(np.array([[3.0]]))
             assert labels.tolist() == [1]
+
+    def test_request_past_the_pipe_buffer_round_trips(self, sign_model):
+        # ~400 KB of request, several times a 64 KB pipe buffer.
+        rows = np.random.default_rng(1).normal(size=(20_000, 1))
+        labels = sign_model.predict_labels(rows)
+        assert np.array_equal(labels, (rows[:, 0] >= 0).astype(int))
+
+    def test_unterminated_last_line_is_the_reply(self, tmp_path):
+        last_words = textwrap.dedent(
+            """
+            import sys
+            sys.stdin.readline()
+            sys.stdout.write('{"labels": [1]}')
+            """
+        )
+        with ExternalModel(stub_command(tmp_path, last_words), n_features=1) as model:
+            assert model.predict_labels(np.array([[-1.0]])).tolist() == [1]
+
+    def test_handle_starts_no_thread(self, tmp_path):
+        before = threading.active_count()
+        with ExternalModel(stub_command(tmp_path, SIGN_STUB), n_features=1) as model:
+            assert model.predict_labels(np.array([[1.0]])).tolist() == [1]
+            assert threading.active_count() == before
 
 
 class TestFailureModes:
@@ -125,8 +149,8 @@ class TestFailureModes:
         assert time.monotonic() - start < 3.0
         with pytest.raises(ModelError, match="closed"):
             model.predict_labels(np.zeros((1, 1)))
+        assert model._proc.poll() is not None
         model.close()
-        assert not model._io.is_alive()
 
     def test_late_reply_never_answers_the_next_request(self, tmp_path):
         late_first = textwrap.dedent(
@@ -148,6 +172,58 @@ class TestFailureModes:
             with pytest.raises(ModelError, match="closed: a request timed out"):
                 model.predict_labels(np.array([[-1.0]]))
             assert model._proc.poll() is not None
+
+    def test_reply_of_two_lines_closes_the_handle(self, tmp_path):
+        echo_twice = textwrap.dedent(
+            """
+            import json, sys
+            for line in sys.stdin:
+                labels = [1 if row[0] >= 0 else 0 for row in json.loads(line)["instances"]]
+                reply = json.dumps({"labels": labels}) + "\\n"
+                sys.stdout.write(reply + reply)
+                sys.stdout.flush()
+            """
+        )
+        with ExternalModel(stub_command(tmp_path, echo_twice), n_features=1) as model:
+            with pytest.raises(ModelError, match="answered by more than one line"):
+                model.predict_labels(np.array([[1.0]]))
+            with pytest.raises(ModelError, match="closed: a request was answered"):
+                model.predict_labels(np.array([[-1.0]]))
+            assert model._proc.poll() is not None
+
+    def test_stray_line_after_the_reply_closes_the_handle(self, tmp_path):
+        afterthought = textwrap.dedent(
+            """
+            import sys, time
+            for line in sys.stdin:
+                print('{"labels": [1]}', flush=True)
+                time.sleep(0.05)
+                print('{"labels": [1]}', flush=True)
+            """
+        )
+        with ExternalModel(stub_command(tmp_path, afterthought), n_features=1) as model:
+            assert model.predict_labels(np.array([[1.0]])).tolist() == [1]
+            time.sleep(1.0)  # the stray line is waiting now
+            with pytest.raises(ModelError, match="answered by more than one line"):
+                model.predict_labels(np.array([[-1.0]]))
+
+    def test_undecodable_reply_is_malformed_not_a_timeout(self, tmp_path):
+        garbled = textwrap.dedent(
+            """
+            import sys
+            sys.stdin.readline()
+            sys.stdout.buffer.write(b'{"labels": [1]}\\xff\\n')
+            sys.stdout.flush()
+            sys.stdin.readline()
+            """
+        )
+        with ExternalModel(
+            stub_command(tmp_path, garbled), n_features=1, timeout_ms=5000
+        ) as model:
+            start = time.monotonic()
+            with pytest.raises(ModelError, match="malformed external model response"):
+                model.predict_labels(np.array([[1.0]]))
+            assert time.monotonic() - start < 2.0
 
     def test_request_after_close_rejected(self, tmp_path):
         model = ExternalModel(stub_command(tmp_path, SIGN_STUB), n_features=1)
