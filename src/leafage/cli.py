@@ -200,7 +200,32 @@ def _check_output_dirs(*paths: str | None) -> None:
             raise DataError(f"cannot write {path}: no such directory")
 
 
+def _check_distinct_paths(
+    parser: argparse.ArgumentParser,
+    outputs: list[tuple[str, str | None]],
+    inputs: list[tuple[str, str]],
+) -> None:
+    """A usage error when an output names an input or another output.
+
+    Each entry is an (option, path) pair; an output path of None is not
+    written.  Paths are compared after resolving links and ``..``.
+    """
+    claimed = {os.path.realpath(path): option for option, path in inputs}
+    for option, path in outputs:
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if real in claimed:
+            parser.error(f"{option} {path} names the same file as {claimed[real]}")
+        claimed[real] = option
+
+
 def cmd_explain(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    _check_distinct_paths(
+        parser,
+        [("--out", args.out), ("--svg", args.svg)],
+        [("--train", args.train)] if args.train != "ad" else [],
+    )
     seed = _resolve_seed(args.seed)
     cfg = LeafageConfig(i_small=args.i_small, k_examples=args.k, seed=seed)
     _check_output_dirs(args.out, args.svg)
@@ -240,6 +265,11 @@ def cmd_evaluate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
             parser.error(f"{option} needs at least one value")
         if len(set(values)) != len(values):
             parser.error(f"{option} values must be distinct, got {list(values)}")
+    _check_distinct_paths(
+        parser,
+        [("--out", args.out), ("--table", args.table)],
+        [("--datasets", token) for token in datasets if token != "ad"],
+    )
     unknown = [c for c in classifiers if c not in models.ALGORITHMS]
     if unknown:
         raise ModelError(
@@ -294,7 +324,8 @@ def cmd_evaluate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     return EXIT_OK
 
 
-def cmd_render(args: argparse.Namespace) -> int:
+def cmd_render(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    _check_distinct_paths(parser, [("--out", args.out)], [("--report", args.report)])
     report = load_report(args.report)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(render_svg(report))
@@ -312,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_explain(parser, args)
         if args.command == "evaluate":
             return cmd_evaluate(parser, args)
-        return cmd_render(args)
+        return cmd_render(parser, args)
     except DataError as exc:
         print(f"leafage: data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -112,18 +112,17 @@ class QuartileBins:
     """Per-feature quartile bins of the (standardized) training rows.
 
     Feature ``j`` has the ascending distinct quartiles ``edges[j]`` (tied
-    quartiles merge, so there are one to three) and ``edges[j].size + 1``
-    bins; a value on an edge falls in the lower bin.  Per bin the arrays
-    hold the training row count, the mean and std of its training values,
-    and its bounds: the outer bins end at the training min and max.
+    quartiles merge, so there are one to three) and the bounds
+    ``[min, *edges[j], max]`` of its training values.  Bin ``k`` spans
+    ``bounds[j][k]`` to ``bounds[j][k + 1]``; a value on an edge falls in
+    the lower bin.  Per bin the arrays hold the training row count, mean and std.
     """
 
     edges: tuple[np.ndarray, ...]
     counts: tuple[np.ndarray, ...]
     means: tuple[np.ndarray, ...]
     stds: tuple[np.ndarray, ...]
-    lows: tuple[np.ndarray, ...]
-    highs: tuple[np.ndarray, ...]
+    bounds: tuple[np.ndarray, ...]
 
     @classmethod
     def fit(cls, features: np.ndarray) -> "QuartileBins":
@@ -156,19 +155,19 @@ class QuartileBins:
             counts = self.counts[j]
             picks = rng.integers(0, counts.sum(), size=n)
             code = np.searchsorted(np.cumsum(counts), picks, side="right")
-            low = self.lows[j][code]
+            low, high = self.bounds[j][code], self.bounds[j][code + 1]
             # Bins other than the first are open below: an edge value
             # belongs to the bin beneath it.
             low = np.where(code > 0, np.nextafter(low, np.inf), low)
             codes[:, j] = code
             values[:, j] = _truncated_normal(
-                rng, self.means[j][code], self.stds[j][code], low, self.highs[j][code]
+                rng, self.means[j][code], self.stds[j][code], low, high
             )
         return codes, values
 
 
 def _column_bins(column: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Edges, then per bin count, mean, std, low and high bound."""
+    """Edges, per bin count, mean and std, then the bins' bounds."""
     edges = np.unique(np.percentile(column, [25, 50, 75]))
     codes = np.searchsorted(edges, column)
     counts = np.bincount(codes, minlength=edges.size + 1)
@@ -182,8 +181,7 @@ def _column_bins(column: np.ndarray) -> tuple[np.ndarray, ...]:
         counts,
         means,
         np.sqrt(squares / filled),
-        np.concatenate(([column.min()], edges)),
-        np.concatenate((edges, [column.max()])),
+        np.concatenate(([column.min()], edges, [column.max()])),
     )
 
 

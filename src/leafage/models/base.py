@@ -3,9 +3,7 @@
 A model is queried only through ``predict_labels``; everything downstream
 (neighbourhood sampling, surrogate fitting, fidelity scoring) treats it as
 opaque.  The in-process models derive from ``TrainedModel``, which labels
-their training rows once in ``fit``.  The linear and tree models also
-expose a real-valued ``predict_scores`` of their own, which the
-explanation pipeline never calls.
+their training rows once in ``fit``.
 """
 from __future__ import annotations
 
@@ -42,7 +40,6 @@ class TrainedModel(BlackBoxModel):
     subclass's ``_predict``.
     """
 
-    n_features: int = 0
     _fit_rows: np.ndarray | None = None
     _fit_labels: np.ndarray | None = None
 
@@ -50,15 +47,16 @@ class TrainedModel(BlackBoxModel):
         X, y = check_training_set(features, labels)
         X.flags.writeable = False
         y.flags.writeable = False
-        self.n_features = X.shape[1]
         self._train(X, y, seed)
         self._fit_rows = X
         self._fit_labels = self._predict(X)
         return self
 
     def predict_labels(self, rows: np.ndarray) -> np.ndarray:
-        rows = check_matrix(rows, self.n_features)
         fit_rows = self._fit_rows
+        if fit_rows is None:
+            raise ModelError(f"{self.descriptor} model is not fitted")
+        rows = check_matrix(rows, fit_rows.shape[1])
         if rows.shape == fit_rows.shape and np.array_equal(
             rows.view(np.uint64), fit_rows.view(np.uint64)
         ):

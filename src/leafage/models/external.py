@@ -6,16 +6,16 @@ Wire protocol, one JSON document per line on stdin/stdout:
     response: {"labels": [int, ...]}
 
 Labels are the integers 0 and 1; ``true`` and ``false`` are refused.  A
-handle owns its child process, started from ``command``, an argv list.
-Requests are serialized (one in flight at a time) and each is answered by
-exactly one line.  The calling thread polls the child's stdin and stdout
-against one deadline, so the timeout bounds the whole exchange, sending
-included.  A reply that is not UTF-8 JSON is a ``ModelError``.  A request
-that times out, or is answered by more than one line, kills the child,
-since the late or stray line would otherwise answer the next request; the
-handle is then closed and every later request raises.  The child's stderr
-goes to an anonymous temporary file; when the child stops answering, the
-last 2 KB of it are appended to the error.
+handle owns its child process, started from ``command``, a non-empty argv
+list of strings or paths.  Requests are serialized (one in flight at a
+time) and each is answered by exactly one line.  The calling thread polls
+the child's stdin and stdout against one deadline, so the timeout bounds
+the whole exchange, sending included.  A reply that is not UTF-8 JSON is a
+``ModelError``.  A request that times out, or is answered by more than one
+line, kills the child, since the late or stray line would otherwise answer
+the next request; the handle is then closed and every later request
+raises.  The child's stderr goes to an anonymous temporary file; when the
+child stops answering, the last 2 KB of it are appended to the error.
 """
 from __future__ import annotations
 
@@ -45,6 +45,16 @@ class ExternalModel(BlackBoxModel):
         timeout_ms: int = 10_000,
         descriptor: str = "external",
     ):
+        # A bare string would run as one program name, whatever its spaces.
+        if not (
+            isinstance(command, list)
+            and command
+            and all(isinstance(arg, (str, os.PathLike)) for arg in command)
+        ):
+            raise ModelError(
+                "external model command must be a non-empty list of strings, "
+                f"got {command!r}"
+            )
         self.descriptor = descriptor
         self.n_features = n_features
         self.timeout_ms = timeout_ms

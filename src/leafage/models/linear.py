@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from ..core import weighted_logistic_fit
-from .base import TrainedModel, check_matrix
+from .base import TrainedModel
 
 # Logistic regression: L2 penalty on the summed logistic loss (the same
 # objective as LR_L2 / n on the mean loss).
@@ -32,12 +32,8 @@ class LinearBinaryModel(TrainedModel):
     weights: np.ndarray | None = None
     intercept: float = 0.0
 
-    def predict_scores(self, rows: np.ndarray) -> np.ndarray:
-        rows = check_matrix(rows, self.n_features)
-        return rows @ self.weights + self.intercept
-
     def _predict(self, rows: np.ndarray) -> np.ndarray:
-        return (self.predict_scores(rows) >= 0.0).astype(np.int64)
+        return (rows @ self.weights + self.intercept >= 0.0).astype(np.int64)
 
 
 class LogisticRegressionModel(LinearBinaryModel):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import TrainedModel, check_matrix
+from .base import TrainedModel
 
 _LEAF = -1
 
@@ -207,10 +207,9 @@ class RandomForestModel(TrainedModel):
     randomized = True
 
     _trees: tuple[_Tree, ...] = ()
-    # The threshold grid: empty edges and no table when it would exceed
-    # GRID_MAX_CELLS cells.
-    _edges: tuple[tuple[int, np.ndarray], ...] = ()
-    _table: np.ndarray | None = None
+    # The threshold grid as (edges, flat table of scores); None when it
+    # would exceed GRID_MAX_CELLS cells.
+    _grid: tuple[tuple[tuple[int, np.ndarray], ...], np.ndarray] | None = None
 
     def _train(self, X: np.ndarray, y: np.ndarray, seed: int) -> None:
         n, d = X.shape
@@ -222,7 +221,7 @@ class RandomForestModel(TrainedModel):
             trees.append(_grow(X[sample], y[sample], max_features, rng))
         self._trees = tuple(trees)
         edges = _grid_edges(self._trees)
-        self._edges, self._table = (), None
+        self._grid = None
         # Python ints: the product of many features' sizes overflows int64.
         shape = tuple(e.size + 1 for _, e in edges)
         if math.prod(shape) <= GRID_MAX_CELLS:
@@ -230,19 +229,20 @@ class RandomForestModel(TrainedModel):
             for tree in trees:
                 _paint(tree, table, edges)
             table /= len(trees)
-            self._edges, self._table = edges, table.ravel()
+            self._grid = edges, table.ravel()
 
-    def predict_scores(self, rows: np.ndarray) -> np.ndarray:
-        rows = check_matrix(rows, self.n_features)
-        if self._table is None:
+    def _scores(self, rows: np.ndarray) -> np.ndarray:
+        """The forest's mean leaf probability of each row of a checked batch."""
+        if self._grid is None:
             return self._traverse(rows)
+        grid_edges, table = self._grid
         # NaN and +inf land past every threshold and -inf before them, so
         # they go right and left at every node, as ``x < t`` sends them.
         cell = np.zeros(rows.shape[0], dtype=np.intp)
-        for f, edges in self._edges:
+        for f, edges in grid_edges:
             cell *= edges.size + 1
             cell += np.searchsorted(edges, rows[:, f], side="right")
-        return self._table[cell]
+        return table[cell]
 
     def _traverse(self, rows: np.ndarray) -> np.ndarray:
         """Mean leaf probability by routing the batch through every tree.
@@ -263,7 +263,7 @@ class RandomForestModel(TrainedModel):
         return probs / len(self._trees)
 
     def _predict(self, rows: np.ndarray) -> np.ndarray:
-        return (self.predict_scores(rows) >= 0.5).astype(np.int64)
+        return (self._scores(rows) >= 0.5).astype(np.int64)
 
 
 class DecisionTreeModel(RandomForestModel):

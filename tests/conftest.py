@@ -44,11 +44,9 @@ class FixedLinearModel(BlackBoxModel):
         self.weights = np.asarray(weights, dtype=np.float64)
         self.intercept = float(intercept)
 
-    def predict_scores(self, rows):
-        return np.asarray(rows, dtype=np.float64) @ self.weights + self.intercept
-
     def predict_labels(self, rows):
-        return (self.predict_scores(rows) >= 0.0).astype(np.int64)
+        scores = np.asarray(rows, dtype=np.float64) @ self.weights + self.intercept
+        return (scores >= 0.0).astype(np.int64)
 
 
 class ConstantModel(BlackBoxModel):

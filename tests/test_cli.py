@@ -570,6 +570,60 @@ class TestUnwritableOutput:
         assert not any(path.exists() for path in paths.values())
 
 
+class TestCollidingPaths:
+    """An output that names an input or another output is a usage error,
+    raised before any file is read or written."""
+
+    @staticmethod
+    def assert_usage_error(argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "names the same file as" in capsys.readouterr().err
+
+    def test_explain_out_is_the_training_csv(self, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "d.csv"
+        run(["gen-ad", "--n-per-class", 20, "--out", data])
+        before = data.read_bytes()
+        monkeypatch.setattr(models, "fit_on_standardized", must_not_fit)
+        self.assert_usage_error(
+            ["explain", "--train", data, "--instance", 0, "--out", data], capsys
+        )
+        assert data.read_bytes() == before
+
+    def test_explain_svg_is_the_report(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(models, "fit_on_standardized", must_not_fit)
+        out = tmp_path / "p"
+        self.assert_usage_error(
+            ["explain", "--train", "ad", "--instance", 0, "--out", out, "--svg", out],
+            capsys,
+        )
+        assert not out.exists()
+
+    def test_evaluate_table_is_the_csv(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_setting", TestEvaluateSeeds.must_not_run)
+        out = tmp_path / "r.csv"
+        out.write_text("kept\n")
+        self.assert_usage_error(
+            TestEvaluateSeeds.ARGS + ["--seed", 0, "--out", out, "--table", out],
+            capsys,
+        )
+        assert out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("link", [False, True])
+    def test_render_out_is_the_report(self, tmp_path, capsys, link):
+        report = tmp_path / "r.json"
+        run(["explain", "--train", "ad", "--model", "knn", "--instance", 2,
+             "--n-per-class", 30, "--out", report])
+        before = report.read_bytes()
+        out = report
+        if link:
+            out = tmp_path / "link.json"
+            out.symlink_to(report)
+        self.assert_usage_error(["render", "--report", report, "--out", out], capsys)
+        assert report.read_bytes() == before
+
+
 class TestRender:
     def test_render_roundtrip(self, tmp_path):
         report = tmp_path / "report.json"

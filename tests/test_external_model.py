@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from leafage.errors import ModelError
-from leafage.models import ExternalModel
+from leafage.models import ExternalModel, external
 
 SIGN_STUB = textwrap.dedent(
     """
@@ -234,6 +234,19 @@ class TestFailureModes:
     def test_launch_failure(self):
         with pytest.raises(ModelError, match="cannot launch"):
             ExternalModel(["/nonexistent/binary"], n_features=1)
+
+    @pytest.mark.parametrize(
+        "command",
+        [[], [sys.executable, 1], "python3", (sys.executable,), [b"python3"], None],
+        ids=["empty", "int-arg", "string", "tuple", "bytes-arg", "none"],
+    )
+    def test_command_must_be_an_argv_list(self, monkeypatch, command):
+        def no_stderr_file(*args, **kwargs):
+            raise AssertionError("stderr file created for a bad command")
+
+        monkeypatch.setattr(external.tempfile, "TemporaryFile", no_stderr_file)
+        with pytest.raises(ModelError, match="non-empty list of strings"):
+            ExternalModel(command, n_features=1)
 
     def test_non_binary_labels_rejected(self, tmp_path):
         # 7 is no 0/1 code, and JSON booleans are not integers.

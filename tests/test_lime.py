@@ -133,8 +133,7 @@ class TestQuartile:
         assert np.array_equal(bins.edges[0], [1.0, 2.0, 3.0])
         rows = np.array([[0.0], [1.0], [np.nextafter(1.0, 2.0)], [3.0], [4.0], [9.0]])
         assert bins.encode(rows)[:, 0].tolist() == [0, 0, 1, 2, 3, 3]
-        assert bins.lows[0].tolist() == [0.0, 1.0, 2.0, 3.0]
-        assert bins.highs[0].tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert bins.bounds[0].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
 
     def test_sampled_values_lie_in_their_drawn_bins(self):
         X = self.training_rows()
@@ -142,8 +141,8 @@ class TestQuartile:
         codes, values = bins.sample(5000, np.random.default_rng(1))
         assert np.array_equal(bins.encode(values), codes)
         for j in range(X.shape[1]):
-            assert np.all(values[:, j] >= bins.lows[j][codes[:, j]])
-            assert np.all(values[:, j] <= bins.highs[j][codes[:, j]])
+            assert np.all(values[:, j] >= bins.bounds[j][codes[:, j]])
+            assert np.all(values[:, j] <= bins.bounds[j][codes[:, j] + 1])
             # bins are drawn with their training frequency
             share = np.bincount(codes[:, j], minlength=4) / codes.shape[0]
             assert np.allclose(share, bins.counts[j] / X.shape[0], atol=0.03)
@@ -155,7 +154,7 @@ class TestQuartile:
         codes, values = bins.sample(4000, np.random.default_rng(2))
         for b in range(4):
             mean, std = bins.means[0][b], bins.stds[0][b]
-            lo, hi = bins.lows[0][b], bins.highs[0][b]
+            lo, hi = bins.bounds[0][b], bins.bounds[0][b + 1]
             dist = stats.truncnorm((lo - mean) / std, (hi - mean) / std, mean, std)
             assert stats.kstest(values[codes[:, 0] == b, 0], dist.cdf).pvalue > 1e-3
 

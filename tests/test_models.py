@@ -248,7 +248,7 @@ def edge_rows(data, model, X):
 
 
 class TestThresholdGrid:
-    """The grid lookup of ``predict_scores`` against ``_traverse``, which
+    """The grid lookup of ``_scores`` against ``_traverse``, which
     routes every row through every tree's nodes."""
 
     @given(tree_training_sets(), st.data())
@@ -256,9 +256,9 @@ class TestThresholdGrid:
     def test_scores_equal_traversal_bit_for_bit(self, case, data):
         algorithm, X, y, seed = case
         model = models.ALGORITHMS[algorithm]().fit(X, y, seed=seed)
-        assert model._table is not None
+        assert model._grid is not None
         rows = edge_rows(data, model, X)
-        assert np.array_equal(model.predict_scores(rows), model._traverse(rows))
+        assert np.array_equal(model._scores(rows), model._traverse(rows))
 
     @pytest.mark.parametrize("algorithm", ["rf", "dt"])
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -268,31 +268,31 @@ class TestThresholdGrid:
         for cap in (tree.GRID_MAX_CELLS, 0):
             monkeypatch.setattr(tree, "GRID_MAX_CELLS", cap)
             model = models.ALGORITHMS[algorithm]().fit(X, y)
-            assert (model._table is None) == (cap == 0)
-            out = model.predict_scores(np.empty((0, d)))
+            assert (model._grid is None) == (cap == 0)
+            out = model._scores(np.empty((0, d)))
             assert out.dtype == np.float64 and out.shape == (0,)
 
     @pytest.mark.parametrize("algorithm", ["rf", "dt"])
     def test_forest_over_the_cap_traverses(self, monkeypatch, algorithm):
         ds = generate_artificial(100, seed=4)
         gridded = models.ALGORITHMS[algorithm]().fit(ds.features, ds.labels, seed=3)
-        cells = gridded._table.size
+        cells = gridded._grid[1].size
         monkeypatch.setattr(tree, "GRID_MAX_CELLS", cells - 1)
         traversed = models.ALGORITHMS[algorithm]().fit(ds.features, ds.labels, seed=3)
-        assert traversed._table is None
+        assert traversed._grid is None
         rng = np.random.default_rng(5)
         rows = rng.normal(size=(2000, 2)) * 2.0
         rows[:500] = rng.choice(thresholds(gridded), size=(500, 2))
         rows[100:110] = np.nan
         rows[110:120] = np.inf
         assert np.array_equal(
-            traversed.predict_scores(rows), gridded.predict_scores(rows)
+            traversed._scores(rows), gridded._scores(rows)
         )
 
     def test_no_split_forest_is_one_cell(self):
         model = DecisionTreeModel().fit(np.ones((4, 2)), [0, 1, 1, 0])
-        assert model._table.size == 1
-        assert np.array_equal(model.predict_scores(np.zeros((3, 2))), np.full(3, 0.5))
+        assert model._grid[1].size == 1
+        assert np.array_equal(model._scores(np.zeros((3, 2))), np.full(3, 0.5))
 
     def test_cap_check_neither_allocates_nor_overflows(self):
         # 30 features, each cut by dozens of thresholds: the cell count
@@ -309,7 +309,7 @@ class TestThresholdGrid:
         sizes = [e.size + 1 for _, e in tree._grid_edges(model._trees)]
         assert len(sizes) == 30
         assert math.prod(sizes) > 2**63
-        assert model._table is None
+        assert model._grid is None
         assert peak < tree.GRID_MAX_CELLS * 8
 
 
@@ -339,14 +339,14 @@ class TestOneRowWalk:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(tree, "GRID_MAX_CELLS", 0)
             model = models.ALGORITHMS[algorithm]().fit(X, y, seed=seed)
-        assert model._table is None
+        assert model._grid is None
         self.check_rows_one_at_a_time(model, edge_rows(data, model, X))
 
     @given(st.data())
     @settings(max_examples=50, deadline=None)
     def test_forest_over_the_cap(self, over_cap_forest, data):
         model, X = over_cap_forest
-        assert model._table is None
+        assert model._grid is None
         self.check_rows_one_at_a_time(model, edge_rows(data, model, X))
 
 
@@ -626,9 +626,11 @@ class TestPredictContract:
         a = models.ALGORITHMS[algorithm]().fit(X, y, seed=0)
         b = models.ALGORITHMS[algorithm]().fit(X, y, seed=12345)
         assert np.array_equal(a.predict_labels(queries), b.predict_labels(queries))
-        if hasattr(a, "predict_scores"):
-            scores_a, scores_b = a.predict_scores(queries), b.predict_scores(queries)
-            assert scores_a.tobytes() == scores_b.tobytes()
+        if hasattr(a, "_scores"):
+            assert a._scores(queries).tobytes() == b._scores(queries).tobytes()
+        elif hasattr(a, "weights"):
+            assert a.weights.tobytes() == b.weights.tobytes()
+            assert a.intercept == b.intercept
         if algorithm == "dt":
             (ta,), (tb,) = a._trees, b._trees
             for name in ("feature", "threshold", "left", "right", "prob"):
@@ -638,7 +640,7 @@ class TestPredictContract:
         X, y, queries = seed_test_data()
         a = RandomForestModel().fit(X, y, seed=0)
         b = RandomForestModel().fit(X, y, seed=12345)
-        assert not np.array_equal(a.predict_scores(queries), b.predict_scores(queries))
+        assert not np.array_equal(a._scores(queries), b._scores(queries))
 
     def test_dimension_mismatch(self):
         ds = generate_artificial(10, seed=0)
@@ -650,6 +652,13 @@ class TestPredictContract:
         model = fit("lda", generate_artificial(10, seed=0))
         with pytest.raises(ModelError, match="expected a 2-d batch of rows"):
             model.predict_labels(np.zeros(2))
+
+    @pytest.mark.parametrize("algorithm", models.CANONICAL_ALGORITHMS)
+    @pytest.mark.parametrize("d", [2, 0])
+    def test_unfitted_model(self, algorithm, d):
+        model = models.ALGORITHMS[algorithm]()
+        with pytest.raises(ModelError, match=f"{algorithm} model is not fitted"):
+            model.predict_labels(np.zeros((3, d)))
 
 
 @st.composite
@@ -738,7 +747,7 @@ class TestTrainingLabels:
         gridded = models.fit_on_standardized("rf", train, seed=0)
         monkeypatch.setattr(tree, "GRID_MAX_CELLS", 0)
         fitted = models.fit_on_standardized("rf", train, seed=0)
-        assert fitted.model._table is None
+        assert fitted.model._grid is None
 
         def refuse(self, rows):
             raise AssertionError("level-by-level traversal")
