@@ -10,9 +10,11 @@ Subcommands: ``gen-ad`` (write the synthetic two-normal dataset),
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .data import (
     save_csv,
     train_test_split,
 )
-from .errors import DataError, ExplanationError, LeafageError, ModelError
+from .errors import DataError, ExplanationError, ModelError
 from .evaluation import (
     KNOWN_STRATEGIES,
     STRATEGIES,
@@ -185,27 +187,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_gen_ad(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
-    ds = generate_artificial(args.n_per_class, seed)
-    save_csv(ds, args.out)
-    print(f"wrote {ds.n} rows to {args.out}")
-    return EXIT_OK
-
-
-def _check_output_dirs(*paths: str | None) -> None:
-    """Fail before any work when an output's directory does not exist."""
-    for path in filter(None, paths):
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise DataError(f"cannot write {path}: no such directory")
-
-
-def _check_distinct_paths(
+def _check_outputs(
     parser: argparse.ArgumentParser,
     outputs: list[tuple[str, str | None]],
-    inputs: list[tuple[str, str]],
+    inputs: Sequence[tuple[str, str]] = (),
 ) -> None:
-    """A usage error when an output names an input or another output.
+    """Check each output before any work: a usage error when it names an
+    input or another output, a data error when its directory is missing.
 
     Each entry is an (option, path) pair; an output path of None is not
     written.  Paths are compared after resolving links and ``..``.
@@ -218,17 +206,26 @@ def _check_distinct_paths(
         if real in claimed:
             parser.error(f"{option} {path} names the same file as {claimed[real]}")
         claimed[real] = option
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise DataError(f"cannot write {path}: {os.strerror(errno.ENOENT)}")
+
+
+def cmd_gen_ad(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    _check_outputs(parser, [("--out", args.out)])
+    ds = generate_artificial(args.n_per_class, _resolve_seed(args.seed))
+    save_csv(ds, args.out)
+    print(f"wrote {ds.n} rows to {args.out}")
+    return EXIT_OK
 
 
 def cmd_explain(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    _check_distinct_paths(
+    _check_outputs(
         parser,
         [("--out", args.out), ("--svg", args.svg)],
         [("--train", args.train)] if args.train != "ad" else [],
     )
     seed = _resolve_seed(args.seed)
-    cfg = LeafageConfig(i_small=args.i_small, k_examples=args.k, seed=seed)
-    _check_output_dirs(args.out, args.svg)
+    cfg = LeafageConfig(i_small=args.i_small, k_examples=args.k)
     ds = _load_dataset(args.train, args.label_column, args.n_per_class, seed)
     z = _parse_instance(parser, ds, args.instance)
     model = models.fit_on_standardized(args.model, ds, seed=seed)
@@ -250,8 +247,13 @@ def _binary_variants(ds: Dataset) -> list[Dataset]:
 
 
 def cmd_evaluate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    seeds = args.seed or [_resolve_seed(None)]
     datasets = _comma_list(args.datasets)
+    _check_outputs(
+        parser,
+        [("--out", args.out), ("--table", args.table)],
+        [("--datasets", token) for token in datasets if token != "ad"],
+    )
+    seeds = args.seed or [_resolve_seed(None)]
     classifiers = _comma_list(args.classifiers)
     strategies = tuple(_comma_list(args.strategies))
     # An empty list runs nothing; a repeated value pools its instances twice.
@@ -265,11 +267,6 @@ def cmd_evaluate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
             parser.error(f"{option} needs at least one value")
         if len(set(values)) != len(values):
             parser.error(f"{option} values must be distinct, got {list(values)}")
-    _check_distinct_paths(
-        parser,
-        [("--out", args.out), ("--table", args.table)],
-        [("--datasets", token) for token in datasets if token != "ad"],
-    )
     unknown = [c for c in classifiers if c not in models.ALGORITHMS]
     if unknown:
         raise ModelError(
@@ -278,16 +275,15 @@ def cmd_evaluate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         )
     if not 0.0 < args.alpha < 1.0:
         raise DataError("alpha must lie strictly between 0 and 1")
-    _check_output_dirs(args.out, args.table)
+    leafage_cfg = LeafageConfig(i_small=args.i_small)
+    fidelity_cfg = FidelityConfig(p=args.p)
 
     # Each setting's per-instance AUCs, concatenated in seed order.  Skips
     # are shared by all strategies within a seed, so the pooled vectors of
     # one setting stay aligned for the paired significance test.
     pooled: dict[tuple[str, str, str, str], list[np.ndarray]] = {}
     for seed in seeds:
-        leafage_cfg = LeafageConfig(i_small=args.i_small, seed=seed)
         lime_cfg = LimeConfig(n_samples=args.lime_samples, seed=seed)
-        fidelity_cfg = FidelityConfig(p=args.p, seed=seed)
         split = SplitSpec(
             train_fraction=args.train_fraction, seed=seed, stratified=args.stratified
         )
@@ -325,25 +321,27 @@ def cmd_evaluate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
 
 
 def cmd_render(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    _check_distinct_paths(parser, [("--out", args.out)], [("--report", args.report)])
-    report = load_report(args.report)
+    _check_outputs(parser, [("--out", args.out)], [("--report", args.report)])
+    svg = render_svg(load_report(args.report))
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(render_svg(report))
+        fh.write(svg)
     print(f"wrote SVG to {args.out}")
     return EXIT_OK
+
+
+COMMANDS = {
+    "gen-ad": cmd_gen_ad,
+    "explain": cmd_explain,
+    "evaluate": cmd_evaluate,
+    "render": cmd_render,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "gen-ad":
-            return cmd_gen_ad(args)
-        if args.command == "explain":
-            return cmd_explain(parser, args)
-        if args.command == "evaluate":
-            return cmd_evaluate(parser, args)
-        return cmd_render(parser, args)
+        return COMMANDS[args.command](parser, args)
     except DataError as exc:
         print(f"leafage: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -360,9 +358,6 @@ def main(argv: list[str] | None = None) -> int:
     except ExplanationError as exc:
         print(f"leafage: explanation error: {exc}", file=sys.stderr)
         return EXIT_EXPLANATION
-    except LeafageError as exc:
-        print(f"leafage: error: {exc}", file=sys.stderr)
-        return 1
 
 
 def entrypoint() -> None:

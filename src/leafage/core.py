@@ -362,14 +362,15 @@ def explain(
     train: Dataset,
     z: np.ndarray,
     cfg: LeafageConfig | None = None,
-    standardizer: Standardizer | None = None,
+    *,
+    standardizer: Standardizer,
 ) -> Explanation:
     """End-to-end explanation of the model's prediction for ``z``.
 
     ``z`` and ``train`` are in original units; ``standardizer`` must be
-    the one the model was trained under (fitted on ``train`` when omitted).
-    The returned instance and examples are in original units while
-    importances are standardized-space magnitudes.
+    the one the model was trained under.  The returned instance and
+    examples are in original units while importances are
+    standardized-space magnitudes.
 
     Pure function of immutable inputs: explanations for different
     instances may run in parallel against a shared model and dataset.
@@ -383,7 +384,6 @@ def explain(
             "classes; expand it one-vs-rest (data.one_vs_rest)"
         )
     cfg = cfg or LeafageConfig()
-    standardizer = standardizer or Standardizer.fit(train.features)
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (train.d,):
         raise ExplanationError(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,6 +27,11 @@ __all__ = [
     "one_vs_rest",
     "generate_artificial",
 ]
+
+
+def _duplicates(names: list[str]) -> list[str]:
+    """The names that occur more than once, sorted."""
+    return sorted(name for name, count in Counter(names).items() if count > 1)
 
 
 @dataclass(frozen=True)
@@ -57,6 +63,9 @@ class Dataset:
             raise DataError("column_names length must match feature columns")
         if features.shape[1] < 1:
             raise DataError("dataset needs at least one feature column")
+        dupes = _duplicates(self.column_names)
+        if dupes:
+            raise DataError(f"duplicate column names {dupes}")
         if not np.all(np.isfinite(features)):
             i, j = np.argwhere(~np.isfinite(features))[0]
             raise DataError(
@@ -132,16 +141,11 @@ class SplitSpec:
 
 def _parse_cell(text: str, row: int, column: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise DataError(
             f"unparseable numeric cell at row {row}, column {column!r}: {text!r}"
         ) from None
-    if not math.isfinite(value):
-        raise DataError(
-            f"non-finite value at row {row}, column {column!r}: {text!r}"
-        )
-    return value
 
 
 def load_csv(path: str, label_column: str) -> Dataset:
@@ -153,41 +157,39 @@ def load_csv(path: str, label_column: str) -> Dataset:
     """
     try:
         # utf-8-sig drops the byte-order mark spreadsheet exports begin with.
-        fh = open(path, newline="", encoding="utf-8-sig")
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            records = list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc.strerror}") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if len(set(header)) != len(header):
-            dupes = sorted({c for c in header if header.count(c) > 1})
-            raise DataError(f"{path}: duplicate column names {dupes}")
-        if label_column not in header:
-            raise DataError(f"{path}: label column {label_column!r} not found")
-        label_idx = header.index(label_column)
-        feature_names = [c for c in header if c != label_column]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    if not records:
+        raise DataError(f"{path}: empty file")
+    header = records[0]
+    if _duplicates(header):
+        raise DataError(f"{path}: duplicate column names {_duplicates(header)}")
+    if label_column not in header:
+        raise DataError(f"{path}: label column {label_column!r} not found")
+    label_idx = header.index(label_column)
+    feature_names = [c for c in header if c != label_column]
 
-        rows: list[list[float]] = []
-        raw_labels: list[str] = []
-        for row_no, record in enumerate(reader, start=1):
-            if not record:
-                continue
-            if len(record) != len(header):
-                raise DataError(
-                    f"{path}: row {row_no} has {len(record)} cells, "
-                    f"expected {len(header)}"
-                )
-            raw_labels.append(record[label_idx])
-            rows.append(
-                [
-                    _parse_cell(cell, row_no, header[j])
-                    for j, cell in enumerate(record)
-                    if j != label_idx
-                ]
+    rows: list[list[float]] = []
+    raw_labels: list[str] = []
+    # Blank lines are skipped and not counted, as Dataset numbers rows.
+    for row_no, record in enumerate(filter(None, records[1:]), start=1):
+        if len(record) != len(header):
+            raise DataError(
+                f"{path}: row {row_no} has {len(record)} cells, "
+                f"expected {len(header)}"
             )
+        raw_labels.append(record[label_idx])
+        rows.append(
+            [
+                _parse_cell(cell, row_no, header[j])
+                for j, cell in enumerate(record)
+                if j != label_idx
+            ]
+        )
     if len(rows) < 2:
         raise DataError(f"{path}: need at least 2 data rows, found {len(rows)}")
     class_names = sorted(set(raw_labels))

@@ -20,6 +20,7 @@ child stops answering, the last 2 KB of it are appended to the error.
 from __future__ import annotations
 
 import json
+import math
 import os
 import select
 from subprocess import PIPE, Popen, TimeoutExpired
@@ -54,6 +55,16 @@ class ExternalModel(BlackBoxModel):
             raise ModelError(
                 "external model command must be a non-empty list of strings, "
                 f"got {command!r}"
+            )
+        if isinstance(n_features, bool) or not (
+            isinstance(n_features, int) and n_features >= 1
+        ):
+            raise ModelError(f"n_features must be an integer >= 1, got {n_features!r}")
+        if isinstance(timeout_ms, bool) or not (
+            isinstance(timeout_ms, (int, float)) and 0 < timeout_ms < math.inf
+        ):
+            raise ModelError(
+                f"timeout_ms must be a finite number > 0, got {timeout_ms!r}"
             )
         self.descriptor = descriptor
         self.n_features = n_features

@@ -88,12 +88,16 @@ def build_report(
 
 
 def _finite(value) -> bool:
-    """No NaN or infinity anywhere inside a decoded JSON value."""
+    """No NaN, infinity or integer beyond a double's range anywhere
+    inside a decoded JSON value."""
     if isinstance(value, dict):
         return all(map(_finite, value.values()))
     if isinstance(value, list):
         return all(map(_finite, value))
-    return not isinstance(value, float) or math.isfinite(value)
+    try:
+        return not isinstance(value, (int, float)) or math.isfinite(value)
+    except OverflowError:  # an int too large to convert to a double
+        return False
 
 
 def is_number(value) -> bool:
@@ -178,6 +182,8 @@ def load_report(path: str) -> dict:
         raise DataError(f"cannot open {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
     return validate_report(report)
 
 

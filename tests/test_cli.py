@@ -624,6 +624,41 @@ class TestCollidingPaths:
         assert report.read_bytes() == before
 
 
+class TestUnreadableInput:
+    """An input that is not UTF-8, or holds a field longer than the csv
+    module's limit, is a data error (exit 3) and writes nothing."""
+
+    UNDECODABLE = b"a,b,label\n1,2,x\n3,\xff,y\n4,5,x\n"
+    OVER_LONG = ('a,b,label\n1,2,x\n3,"' + "9" * 200_000 + '",y\n').encode()
+
+    @pytest.mark.parametrize("content", [UNDECODABLE, OVER_LONG],
+                             ids=["undecodable", "over-long"])
+    def test_explain_train(self, tmp_path, capsys, content):
+        data = tmp_path / "d.csv"
+        data.write_bytes(content)
+        out = tmp_path / "r.json"
+        assert run(["explain", "--train", data, "--instance", 0, "--out", out]) == 3
+        assert f"cannot read {data}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_evaluate_datasets(self, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_bytes(self.UNDECODABLE)
+        out = tmp_path / "r.csv"
+        code = run(["evaluate", "--datasets", data, "--classifiers", "lr",
+                    "--strategies", "baseline", "--out", out])
+        assert code == 3
+        assert not out.exists()
+
+    def test_render_report(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_bytes(b'{"schema_version": "\xff"}')
+        svg = tmp_path / "v.svg"
+        assert run(["render", "--report", report, "--out", svg]) == 3
+        assert f"cannot read {report}" in capsys.readouterr().err
+        assert not svg.exists()
+
+
 class TestRender:
     def test_render_roundtrip(self, tmp_path):
         report = tmp_path / "report.json"
@@ -675,6 +710,19 @@ class TestRender:
              "--seed", 4, "--out", report])
         doc = json.loads(report.read_text())
         doc[section][0] = bad
+        report.write_text(json.dumps(doc))
+        assert run(["render", "--report", report, "--out", svg]) == 3
+        assert not svg.exists()
+
+    def test_render_rejects_integer_beyond_a_double(self, tmp_path):
+        report = tmp_path / "report.json"
+        svg = tmp_path / "v.svg"
+        run(["explain", "--train", "ad", "--model", "knn", "--instance", 2,
+             "--seed", 4, "--out", report])
+        doc = json.loads(report.read_text())
+        doc["instance"]["x1"] = 10**400
+        for entry in doc["importances"]:
+            entry["value"] = doc["instance"][entry["feature"]]
         report.write_text(json.dumps(doc))
         assert run(["render", "--report", report, "--out", svg]) == 3
         assert not svg.exists()

@@ -548,7 +548,13 @@ class TestExplain:
         X = np.random.default_rng(0).normal(size=(30, 2))
         ds = Dataset(X, np.arange(30) % 3, ["x1", "x2"], ["x", "y", "z"])
         with pytest.raises(DataError, match="binary"):
-            explain(FixedLinearModel([1.0, 0.0]), ds, X[2])
+            explain(FixedLinearModel([1.0, 0.0]), ds, X[2],
+                    standardizer=Standardizer.fit(X))
+
+    def test_standardizer_is_required(self):
+        ds, _ = self.standardized_ad(n=20)
+        with pytest.raises(TypeError, match="standardizer"):
+            explain(FixedLinearModel([1.0, 0.0]), ds, ds.features[0])
 
     def test_no_enemy_propagates(self):
         from conftest import ConstantModel

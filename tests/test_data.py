@@ -112,6 +112,13 @@ class TestLoadCsv:
         assert ds.class_names == ["A", "B"]
         assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
+    @pytest.mark.parametrize("cell", ["oops", "inf"])
+    def test_rows_numbered_without_blank_lines(self, tmp_path, cell):
+        # An unparseable and a non-finite cell on one row name the same row.
+        path = write(tmp_path, f"a,b,label\n1,2,x\n\n3,{cell},y\n")
+        with pytest.raises(DataError, match=r"row 2, column 'b'"):
+            load_csv(path, "label")
+
     def test_blank_lines_skipped(self, tmp_path):
         path = write(tmp_path, "a,label\n1,x\n\n2,y\n")
         assert load_csv(path, "label").features.tolist() == [[1.0], [2.0]]
@@ -302,6 +309,10 @@ class TestDatasetInvariants:
     def test_malformed_dataset_rejected(self, features, labels, columns, message):
         with pytest.raises(DataError, match=message):
             Dataset(features, labels, columns, ["x", "y"])
+
+    def test_duplicate_column_names_rejected(self):
+        with pytest.raises(DataError, match=r"duplicate column names \['x'\]"):
+            Dataset(np.zeros((2, 3)), [0, 1], ["x", "y", "x"], ["A", "B"])
 
     def test_nonfinite_rejected(self):
         bad = np.array([[1.0, np.inf], [0.0, 1.0]])

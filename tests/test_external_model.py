@@ -248,6 +248,23 @@ class TestFailureModes:
         with pytest.raises(ModelError, match="non-empty list of strings"):
             ExternalModel(command, n_features=1)
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [("n_features", "2"), ("n_features", 0), ("n_features", -1),
+         ("n_features", True), ("n_features", 2.0), ("timeout_ms", 0),
+         ("timeout_ms", -5), ("timeout_ms", "100"), ("timeout_ms", float("nan")),
+         ("timeout_ms", float("inf")), ("timeout_ms", True)],
+    )
+    def test_bad_option_rejected_before_launch(self, monkeypatch, option, value):
+        def no_launch(*args, **kwargs):
+            raise AssertionError("a process was started for a bad option")
+
+        monkeypatch.setattr(external.tempfile, "TemporaryFile", no_launch)
+        monkeypatch.setattr(external, "Popen", no_launch)
+        options = {"n_features": 1, option: value}
+        with pytest.raises(ModelError, match=f"{option} must be"):
+            ExternalModel([sys.executable, "-c", "pass"], **options)
+
     def test_non_binary_labels_rejected(self, tmp_path):
         # 7 is no 0/1 code, and JSON booleans are not integers.
         weird = textwrap.dedent(

@@ -152,6 +152,16 @@ class TestReportDocument:
         with pytest.raises(DataError, match="flags must be strings"):
             validate_report(report)
 
+    def test_integer_beyond_a_double_rejected(self, tmp_path):
+        report = reference_report()
+        report["instance"]["x1"] = 10**400
+        for entry in report["importances"]:
+            entry["value"] = report["instance"][entry["feature"]]
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        with pytest.raises(DataError, match="non-finite"):
+            load_report(str(path))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot open .*absent.json"):
             load_report(str(tmp_path / "absent.json"))
