@@ -153,7 +153,7 @@ def load_csv(path: str, label_column: str) -> Dataset:
 
     Every column except ``label_column`` must parse as a finite real
     number; label values are kept verbatim as class names (sorted for
-    deterministic code assignment).
+    deterministic code assignment).  Every error names the file.
     """
     try:
         # utf-8-sig drops the byte-order mark spreadsheet exports begin with.
@@ -163,13 +163,22 @@ def load_csv(path: str, label_column: str) -> Dataset:
         raise DataError(f"cannot open {path}: {exc.strerror}") from None
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
+    try:
+        return _dataset_from_records(records, label_column, path)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _dataset_from_records(
+    records: list[list[str]], label_column: str, name: str
+) -> Dataset:
     if not records:
-        raise DataError(f"{path}: empty file")
+        raise DataError("empty file")
     header = records[0]
     if _duplicates(header):
-        raise DataError(f"{path}: duplicate column names {_duplicates(header)}")
+        raise DataError(f"duplicate column names {_duplicates(header)}")
     if label_column not in header:
-        raise DataError(f"{path}: label column {label_column!r} not found")
+        raise DataError(f"label column {label_column!r} not found")
     label_idx = header.index(label_column)
     feature_names = [c for c in header if c != label_column]
 
@@ -179,8 +188,7 @@ def load_csv(path: str, label_column: str) -> Dataset:
     for row_no, record in enumerate(filter(None, records[1:]), start=1):
         if len(record) != len(header):
             raise DataError(
-                f"{path}: row {row_no} has {len(record)} cells, "
-                f"expected {len(header)}"
+                f"row {row_no} has {len(record)} cells, expected {len(header)}"
             )
         raw_labels.append(record[label_idx])
         rows.append(
@@ -191,10 +199,10 @@ def load_csv(path: str, label_column: str) -> Dataset:
             ]
         )
     if len(rows) < 2:
-        raise DataError(f"{path}: need at least 2 data rows, found {len(rows)}")
+        raise DataError(f"need at least 2 data rows, found {len(rows)}")
     class_names = sorted(set(raw_labels))
     if len(class_names) < 2:
-        raise DataError(f"{path}: need at least 2 distinct labels")
+        raise DataError("need at least 2 distinct labels")
     code = {c: i for i, c in enumerate(class_names)}
     labels = np.array([code[c] for c in raw_labels], dtype=np.int64)
     return Dataset(
@@ -202,7 +210,7 @@ def load_csv(path: str, label_column: str) -> Dataset:
         labels=labels,
         column_names=feature_names,
         class_names=class_names,
-        name=path,
+        name=name,
     )
 
 

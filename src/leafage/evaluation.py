@@ -114,11 +114,8 @@ def _rank_average(values: np.ndarray) -> np.ndarray:
 
 
 def auc(labels: np.ndarray, scores: np.ndarray) -> float:
-    """Area under the ROC curve via the rank-sum identity.
-
-    Equivalent to (concordant + 0.5 * tied) / (n_pos * n_neg) over all
-    positive/negative pairs, so tied scores contribute one half.
-    """
+    """Area under the ROC curve by the exact Mann-Whitney count: a tied
+    positive/negative pair counts one half; ±inf ties with its equal."""
     labels = np.asarray(labels).astype(bool)
     scores = np.asarray(scores, dtype=np.float64)
     if labels.shape != scores.shape:
@@ -127,9 +124,11 @@ def auc(labels: np.ndarray, scores: np.ndarray) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUC needs at least one positive and one negative label")
-    ranks = _rank_average(scores)
-    rank_sum = float(ranks[labels].sum())
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    if np.isnan(scores).any():
+        raise DataError("AUC scores must not be NaN")
+    pos, neg = scores[labels], np.sort(scores[~labels])
+    two_u = sum(int(np.searchsorted(neg, pos, s).sum()) for s in ("left", "right"))
+    return (two_u / 2.0) / (n_pos * n_neg)
 
 
 @dataclass(frozen=True)
@@ -230,10 +229,6 @@ def fidelity_sphere(
     return np.flatnonzero((dist <= radius) & others)
 
 
-def _derived_seed(base: int, index: int) -> int:
-    return int(np.random.SeedSequence([base, index]).generate_state(1)[0])
-
-
 def run_setting(
     train: Dataset,
     test: Dataset,
@@ -247,20 +242,22 @@ def run_setting(
 ) -> list[FidelitySummary]:
     """Train one classifier and score every strategy on every test row.
 
-    The baseline strategy stands in for a constant predictor: it scores
-    every sphere row alike, so tie handling pins its AUC at exactly 0.5
-    on every scored instance.  ``lime`` and ``lime-quartile`` are
-    the continuous and the quartile-discretized LIME baselines; both seed
-    instance ``i`` from ``lime_cfg.seed`` and ``i`` alone.  Skips (no test
-    enemies, a single-class sphere, or no training row predicted unlike
-    the instance) are shared by all strategies, so the per-instance vectors
-    stay aligned for paired significance testing.
+    Test rows that share a closest enemy share one ``leafage`` surrogate.
+    ``baseline`` is a constant predictor: every sphere pair ties, so its
+    AUC is 0.5 by definition on every scored instance.  ``lime`` and
+    ``lime-quartile`` are the continuous and the quartile-discretized LIME
+    baselines; both seed instance ``i`` from ``lime_cfg.seed`` and ``i``
+    alone.  Skips (no test enemies, a single-class sphere, or no training
+    row predicted unlike the instance) are shared by all strategies, so
+    the per-instance vectors stay aligned for paired significance testing.
     """
     for strategy in strategies:
         if strategy not in KNOWN_STRATEGIES:
             raise DataError(
                 f"unknown strategy {strategy!r}; choose from {KNOWN_STRATEGIES}"
             )
+    if len(set(strategies)) != len(strategies):
+        raise DataError(f"strategies must be distinct, got {list(strategies)}")
     if len(train.class_names) != 2 or len(test.class_names) != 2:
         raise DataError("run_setting requires binary datasets")
     leafage_cfg = leafage_cfg or LeafageConfig()
@@ -285,7 +282,7 @@ def run_setting(
         QuartileBins.fit(X_train) if "lime-quartile" in strategies else None
     )
 
-    baseline = LocalSurrogate(np.zeros(test.d), intercept=0.0)
+    surrogates: dict[int, LocalSurrogate] = {}
     scores = {s: np.full(test.n, np.nan) for s in strategies}
     for i in range(test.n):
         try:
@@ -302,15 +299,20 @@ def run_setting(
             continue
         for strategy in strategies:
             if strategy == "baseline":
-                surrogate = baseline
-            elif strategy == "leafage":
+                scores[strategy][i] = 0.5
+                continue
+            if strategy == "leafage":
                 x_border = closest_enemy(_euclidean(X_train, z), pred_train, c_z)
-                local = sample_local_training_set(
-                    X_train, pred_train, x_border, leafage_cfg
-                )
-                surrogate = fit_local_linear(X_train, pred_train, local)
+                if x_border not in surrogates:
+                    local = sample_local_training_set(
+                        X_train, pred_train, x_border, leafage_cfg
+                    )
+                    fit = fit_local_linear(X_train, pred_train, local)
+                    surrogates[x_border] = LocalSurrogate(fit.weights, fit.intercept)
+                surrogate = surrogates[x_border]
             else:
-                cfg_i = replace(lime_cfg, seed=_derived_seed(lime_cfg.seed, i))
+                seed = np.random.SeedSequence([lime_cfg.seed, i]).generate_state(1)[0]
+                cfg_i = replace(lime_cfg, seed=int(seed))
                 if strategy == "lime":
                     surrogate = lime_fit(model, z, cfg_i)
                 else:

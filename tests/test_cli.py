@@ -650,6 +650,19 @@ class TestUnreadableInput:
         assert code == 3
         assert not out.exists()
 
+    def test_evaluate_names_the_csv_with_a_non_finite_cell(self, tmp_path, capsys):
+        good, bad = tmp_path / "a.csv", tmp_path / "b.csv"
+        rows = "".join(f"{i},{i % 3},{'xy'[i % 2]}\n" for i in range(20))
+        good.write_text("a,b,label\n" + rows)
+        bad.write_text("a,b,label\n" + rows.replace("4,1,x", "4,inf,x"))
+        out = tmp_path / "r.csv"
+        code = run(["evaluate", "--datasets", f"{good},{bad}", "--classifiers", "lr",
+                    "--strategies", "baseline", "--out", out])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{bad}: non-finite feature value at row 5, column 'b'" in err
+        assert not out.exists()
+
     def test_render_report(self, tmp_path, capsys):
         report = tmp_path / "report.json"
         report.write_bytes(b'{"schema_version": "\xff"}')

@@ -119,6 +119,16 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"row 2, column 'b'"):
             load_csv(path, "label")
 
+    @pytest.mark.parametrize("cell, message", [
+        ("inf", "non-finite feature value at row 2, column 'b'"),
+        ("oops", "unparseable numeric cell at row 2, column 'b'"),
+    ])
+    def test_cell_error_names_the_file(self, tmp_path, cell, message):
+        path = write(tmp_path, f"a,b,label\n1,2,x\n3,{cell},y\n")
+        with pytest.raises(DataError) as info:
+            load_csv(path, "label")
+        assert str(info.value).startswith(f"{path}: {message}")
+
     def test_blank_lines_skipped(self, tmp_path):
         path = write(tmp_path, "a,label\n1,x\n\n2,y\n")
         assert load_csv(path, "label").features.tolist() == [[1.0], [2.0]]

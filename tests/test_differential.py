@@ -1,11 +1,16 @@
-"""The surrogate kernel and the explain geometry against frozen references.
+"""The surrogate kernel, the explain geometry and the fidelity protocol
+against frozen references.
 
 ``weighted_logistic_fit`` writes its intermediates into reused buffers and
 ``explain`` measures the instance's distances to the training rows once;
 both must give the bits of the plain formulas kept here: the Newton
 kernel as whole-array expressions, and each geometry step with its own
-distance pass over the rows it reads.
+distance pass over the rows it reads.  ``run_setting`` fits one surrogate
+per distinct closest enemy, records ``baseline`` as 0.5 and counts AUC
+pairs by binary search; it must give the bits of the per-instance loop
+kept here, which refits every instance and ranks every AUC.
 """
+import dataclasses
 import os
 import subprocess
 import sys
@@ -33,8 +38,9 @@ from leafage.core import (
     sample_local_training_set,
     weighted_logistic_fit,
 )
-from leafage.data import generate_artificial
-from leafage.errors import ExplanationError
+from leafage.data import SplitSpec, generate_artificial, train_test_split
+from leafage.errors import ExplanationError, NoEnemiesError
+from leafage.evaluation import KNOWN_STRATEGIES, auc, fidelity_sphere, run_setting
 
 
 def reference_logistic_fit(features, targets, sample_weight=None, l2=SURROGATE_L2):
@@ -259,6 +265,110 @@ class TestGeometry:
             with pytest.raises(ExplanationError, match="too far.*a dissimilarity"):
                 explain(fitted.model, ds, np.array([1e160, 0.0]),
                         standardizer=fitted.standardizer)
+
+
+def reference_auc(labels, scores):
+    """AUC by the rank-sum identity: mean ranks over all scores, ties
+    sharing theirs, then the positives' rank sum less its minimum."""
+    labels = np.asarray(labels, dtype=bool)
+    scores = np.asarray(scores, dtype=np.float64)
+    order = np.argsort(scores, kind="stable")
+    sv = scores[order]
+    boundary = np.concatenate(([True], sv[1:] != sv[:-1]))
+    starts = np.flatnonzero(boundary)
+    ends = np.append(starts[1:], scores.size)
+    ranks = np.empty(scores.size)
+    ranks[order] = ((starts + ends - 1) / 2.0 + 1.0)[np.cumsum(boundary) - 1]
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    return (float(ranks[labels].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+# A few values drawn often enough to tie, infinities among them.
+TIED = st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf])
+SCORE = st.one_of(TIED, st.floats(allow_nan=False, allow_infinity=True))
+
+
+class TestAuc:
+    @given(
+        st.lists(SCORE, min_size=1, max_size=200),
+        st.lists(SCORE, min_size=1, max_size=200),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_rank_sum(self, pos, neg, seed):
+        scores = np.array(pos + neg)
+        labels = np.arange(scores.size) < len(pos)
+        order = np.random.default_rng(seed).permutation(scores.size)
+        labels, scores = labels[order], scores[order]
+        assert auc(labels, scores).hex() == reference_auc(labels, scores).hex()
+
+    @pytest.mark.parametrize("n", [1, 7, 200])
+    def test_every_score_tied(self, n):
+        labels = np.arange(2 * n) < n
+        for value in (-np.inf, 0.0, np.inf):
+            scores = np.full(2 * n, value)
+            assert auc(labels, scores) == reference_auc(labels, scores) == 0.5
+
+
+def reference_run_setting(train, test, classifier, leafage_cfg, lime_cfg, p):
+    """Every strategy's per-instance AUCs with a fresh local set and fit
+    for every test row, a zero-weight ``baseline`` surrogate, and every
+    AUC by rank sums."""
+    fitted = models.fit_on_standardized(classifier, train, seed=0)
+    model = fitted.model
+    X_train = fitted.standardizer.transform(train.features)
+    X_test = fitted.standardizer.transform(test.features)
+    pred_train = model.predict_labels(X_train)
+    pred_test = model.predict_labels(X_test)
+    bins = lime.QuartileBins.fit(X_train)
+    scores = {s: np.full(test.n, np.nan) for s in KNOWN_STRATEGIES}
+    for i in range(test.n):
+        try:
+            sphere = fidelity_sphere(X_test, pred_test, i, p)
+        except NoEnemiesError:
+            continue
+        labels = pred_test[sphere] == 1
+        z, c_z = X_test[i], int(pred_test[i])
+        if labels.all() or not labels.any() or (pred_train == c_z).all():
+            continue
+        x_border = reference_closest_enemy(X_train, pred_train, z, c_z)
+        local = reference_local_set(
+            X_train, pred_train, x_border, leafage_cfg.i_small * train.d
+        )
+        weights, intercept = reference_logistic_fit(X_train[local], pred_train[local])
+        seed = np.random.SeedSequence([lime_cfg.seed, i]).generate_state(1)[0]
+        cfg_i = dataclasses.replace(lime_cfg, seed=int(seed))
+        surrogates = {
+            "leafage": LocalSurrogate(weights, intercept),
+            "lime": lime.lime_fit(model, z, cfg_i),
+            "baseline": LocalSurrogate(np.zeros(test.d), 0.0),
+            "lime-quartile": lime.lime_quartile_fit(model, bins, z, cfg_i),
+        }
+        for strategy, surrogate in surrogates.items():
+            scores[strategy][i] = reference_auc(labels, surrogate.score(X_test[sphere]))
+    return scores
+
+
+@pytest.mark.parametrize("classifier", models.CANONICAL_ALGORITHMS)
+def test_run_setting_equals_per_instance_refits(classifier):
+    ds = generate_artificial(40, 5)
+    train, test = train_test_split(ds, SplitSpec(seed=5))
+    leafage_cfg = LeafageConfig(i_small=3)
+    lime_cfg = lime.LimeConfig(n_samples=200, seed=5)
+    summaries = run_setting(
+        train, test, classifier, KNOWN_STRATEGIES,
+        leafage_cfg=leafage_cfg, lime_cfg=lime_cfg,
+    )
+    reference = reference_run_setting(
+        train, test, classifier, leafage_cfg, lime_cfg, 0.95
+    )
+    assert summaries[0].n_scored > 0
+    for summary in summaries:
+        assert (
+            summary.per_instance_auc.tobytes()
+            == reference[summary.strategy].tobytes()
+        ), summary.strategy
 
 
 def test_module_under_haswell_kernels():

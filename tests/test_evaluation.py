@@ -58,6 +58,21 @@ class TestAuc:
         with pytest.raises(DataError, match="equal length"):
             auc([1, 0, 1], [0.1, 0.2])
 
+    @pytest.mark.parametrize("scores", [
+        [math.nan, 0.1, 0.2, 0.3],
+        [0.4, math.nan, 0.2, 0.3],
+    ])
+    def test_nan_score_rejected(self, scores):
+        # A rank order would place NaN above every number: 0.75 here.
+        with pytest.raises(DataError, match="NaN"):
+            auc([1, 0, 1, 0], scores)
+
+    def test_infinities_tie_with_their_equals(self):
+        inf = math.inf
+        assert auc([1, 0], [inf, inf]) == 0.5
+        assert auc([1, 0], [-inf, -inf]) == 0.5
+        assert auc([1, 0, 1, 0], [inf, -inf, inf, inf]) == 0.75
+
     def test_matches_bruteforce_with_ties(self):
         rng = np.random.default_rng(0)
         for _ in range(300):
@@ -434,6 +449,35 @@ class TestRunSetting:
         train, test = train_test_split(ds, SplitSpec(seed=0))
         with pytest.raises(DataError, match="unknown strategy"):
             run_setting(train, test, "knn", ("magic",))
+
+    def test_repeated_strategy_rejected_before_training(self, monkeypatch):
+        ds = generate_artificial(20, seed=0)
+        train, test = train_test_split(ds, SplitSpec(seed=0))
+
+        def must_not_fit(*args, **kwargs):
+            raise AssertionError("a model was trained")
+
+        monkeypatch.setattr(models, "fit_on_standardized", must_not_fit)
+        with pytest.raises(DataError, match="strategies must be distinct"):
+            run_setting(train, test, "lr", ("baseline", "baseline"))
+
+    @pytest.mark.parametrize("classifier", ["lr", "knn"])
+    def test_one_fit_per_distinct_closest_enemy(self, monkeypatch, classifier):
+        calls = {"closest_enemy": [], "sample_local_training_set": [],
+                 "fit_local_linear": []}
+        for name, log in calls.items():
+            def spy(*args, function=getattr(evaluation, name), log=log):
+                log.append((args, result := function(*args)))
+                return result
+            monkeypatch.setattr(evaluation, name, spy)
+        ds = generate_artificial(40, seed=5)
+        train, test = train_test_split(ds, SplitSpec(seed=5))
+        (summary,) = run_setting(train, test, classifier, ("leafage",))
+        enemies = [result for _, result in calls["closest_enemy"]]
+        assert len(enemies) == summary.n_scored
+        assert len(calls["fit_local_linear"]) == len(set(enemies)) < len(enemies)
+        local_sets = [args[2] for args, _ in calls["sample_local_training_set"]]
+        assert local_sets == list(dict.fromkeys(enemies))
 
     def test_overflowing_test_row_rejected_before_scoring(self, monkeypatch):
         # Training x2 spreads over ~1e-150, so a test x2 of 1e200
