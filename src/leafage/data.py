@@ -51,7 +51,7 @@ class Dataset:
 
     def __post_init__(self) -> None:
         features = np.ascontiguousarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if features.ndim != 2:
             raise DataError("feature matrix must be two-dimensional")
         if features.shape[0] != labels.shape[0]:
@@ -72,8 +72,15 @@ class Dataset:
                 f"non-finite feature value at row {i + 1}, "
                 f"column {self.column_names[j]!r}"
             )
+        whole = labels.dtype.kind in "biu" or (
+            labels.dtype.kind == "f"
+            and np.all(np.isfinite(labels) & (labels == np.floor(labels)))
+        )
+        if not whole:
+            raise DataError("label codes must be whole numbers")
         if labels.size and (labels.min() < 0 or labels.max() >= len(self.class_names)):
             raise DataError("label codes out of range of class_names")
+        labels = labels.astype(np.int64, copy=False)
         features.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "features", features)
@@ -123,7 +130,15 @@ class Standardizer:
         return cls(means=means, scales=scales)
 
     def transform(self, features: np.ndarray) -> np.ndarray:
-        return (np.asarray(features, dtype=np.float64) - self.means) / self.scales
+        """Standardize a row or a batch whose last axis has the fitted width."""
+        features = np.asarray(features, dtype=np.float64)
+        width = features.shape[-1] if features.ndim else 0
+        if width != self.means.size:
+            raise DataError(
+                f"batch has {width} columns, the standardizer was fitted on "
+                f"{self.means.size}"
+            )
+        return (features - self.means) / self.scales
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,11 @@ KNOWN_STRATEGIES = (*STRATEGIES, "lime-quartile")
 WILCOXON_EXACT_LIMIT = 25
 
 
+def _check_p(p: float) -> None:
+    if not 0.0 < p < 1.0:
+        raise DataError("p must lie strictly between 0 and 1")
+
+
 @dataclass(frozen=True)
 class FidelityConfig:
     """Sphere inclusion fraction."""
@@ -61,8 +66,7 @@ class FidelityConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.p < 1.0:
-            raise DataError("p must lie strictly between 0 and 1")
+        _check_p(self.p)
 
 
 @dataclass
@@ -181,16 +185,20 @@ def _normal_signed_rank_p(ranks: np.ndarray, stat: float) -> float:
 def wilcoxon_signed_rank(a: np.ndarray, b: np.ndarray) -> WilcoxonResult:
     """Paired two-sided signed-rank test on a - b.
 
-    Zero differences are dropped; fewer than 6 remaining pairs is marked
-    inconclusive.  Small samples (n <= 25) are scored by exact sign
-    enumeration, larger ones by the tie-corrected normal approximation.
-    The statistic is the positive-rank sum.
+    A NaN difference is a DataError.  Zero differences are dropped; fewer
+    than 6 remaining pairs is marked inconclusive.  Small samples
+    (n <= 25) are scored by exact sign enumeration, larger ones by the
+    tie-corrected normal approximation.  The statistic is the
+    positive-rank sum.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DataError("paired vectors must have equal length")
-    diff = a - b
+    with np.errstate(invalid="ignore"):  # inf - inf is caught below
+        diff = a - b
+    if np.isnan(diff).any():
+        raise DataError("paired differences must not be NaN")
     diff = diff[diff != 0.0]
     n = diff.size
     if n < 6:
@@ -215,8 +223,9 @@ def fidelity_sphere(
 
     The radius reaches the ceil(p * n_enemy)-th nearest row whose
     predicted label differs from the centre's.  The centre itself is
-    excluded; the ball is closed.
+    excluded; the ball is closed.  ``p`` lies strictly between 0 and 1.
     """
+    _check_p(p)
     predicted = np.asarray(predicted)
     dist = _euclidean(features, features[z_index])
     others = np.arange(features.shape[0]) != z_index
@@ -260,6 +269,11 @@ def run_setting(
         raise DataError(f"strategies must be distinct, got {list(strategies)}")
     if len(train.class_names) != 2 or len(test.class_names) != 2:
         raise DataError("run_setting requires binary datasets")
+    if test.column_names != train.column_names:
+        raise DataError(
+            f"test columns {test.column_names} differ from the training "
+            f"columns {train.column_names}"
+        )
     leafage_cfg = leafage_cfg or LeafageConfig()
     lime_cfg = lime_cfg or LimeConfig()
     fidelity_cfg = fidelity_cfg or FidelityConfig()

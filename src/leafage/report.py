@@ -87,28 +87,26 @@ def build_report(
     }
 
 
-def _finite(value) -> bool:
-    """No NaN, infinity or integer beyond a double's range anywhere
-    inside a decoded JSON value."""
-    if isinstance(value, dict):
-        return all(map(_finite, value.values()))
-    if isinstance(value, list):
-        return all(map(_finite, value))
-    try:
-        return not isinstance(value, (int, float)) or math.isfinite(value)
-    except OverflowError:  # an int too large to convert to a double
-        return False
-
-
 def is_number(value) -> bool:
     """A JSON number: an int or float, not a bool."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _check_number(value, what: str) -> None:
+    """``value`` is a number that converts to a finite double."""
+    if not is_number(value):
+        raise DataError(f"{what} must be a number")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int too large to convert to a double
+        finite = False
+    if not finite:
+        raise DataError(f"{what} is a non-finite number")
+
+
 def _check_feature_values(features: dict, where: str) -> None:
     for key, value in features.items():
-        if not is_number(value):
-            raise DataError(f"{where}: feature {key!r} must be a number")
+        _check_number(value, f"{where}: feature {key!r}")
 
 
 def _check_fields(obj: dict, spec: dict, where: str) -> None:
@@ -121,18 +119,18 @@ def _check_fields(obj: dict, spec: dict, where: str) -> None:
         if key not in obj:
             raise DataError(f"{where}: missing field {key!r}")
         value = obj[key]
-        if kind is float:
-            if not is_number(value):
-                raise DataError(f"{where}: field {key!r} must be a number")
-        elif kind is int:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise DataError(f"{where}: field {key!r} must be an integer")
+        what = f"{where}: field {key!r}"
+        if kind is int and (not isinstance(value, int) or isinstance(value, bool)):
+            raise DataError(f"{what} must be an integer")
+        if kind is int or kind is float:
+            _check_number(value, what)
         elif not isinstance(value, kind):
-            raise DataError(f"{where}: field {key!r} must be {kind.__name__}")
+            raise DataError(f"{what} must be {kind.__name__}")
 
 
 def validate_report(report: dict) -> dict:
-    """Strict schema check; rejects unknown fields and non-finite numbers."""
+    """Strict schema check: refuses unknown fields and checks every number,
+    each in a typed field or a feature map, as a finite double."""
     _check_fields(report, _TOP_LEVEL_FIELDS, "report")
     if report["schema_version"] != SCHEMA_VERSION:
         raise DataError(
@@ -159,17 +157,12 @@ def validate_report(report: dict) -> dict:
     for flag in report["flags"]:
         if not isinstance(flag, str):
             raise DataError("flags must be strings")
-    if not _finite(report):
-        raise DataError("report holds a non-finite number")
     return report
 
 
 def write_report(report: dict, path: str) -> None:
-    """Serialize first, so a non-finite number leaves no file behind."""
-    try:
-        text = json.dumps(report, indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise DataError(f"report is not valid JSON: {exc}") from None
+    """Validate first, so a report that would not load leaves no file."""
+    text = json.dumps(validate_report(report), indent=2)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 

@@ -551,6 +551,13 @@ class TestExplain:
             explain(FixedLinearModel([1.0, 0.0]), ds, X[2],
                     standardizer=Standardizer.fit(X))
 
+    def test_standardizer_of_another_width_rejected(self):
+        ds, sc = self.standardized_ad(n=20)
+        one_column = Dataset(ds.features[:, :1], ds.labels, ["x1"], ds.class_names)
+        with pytest.raises(DataError, match="batch has 1 columns"):
+            explain(FixedLinearModel([1.0]), one_column, ds.features[0, :1],
+                    standardizer=sc)
+
     def test_standardizer_is_required(self):
         ds, _ = self.standardized_ad(n=20)
         with pytest.raises(TypeError, match="standardizer"):

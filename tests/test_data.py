@@ -297,6 +297,15 @@ class TestStandardizer:
         with pytest.raises(DataError, match="zero rows"):
             Standardizer.fit(np.empty((0, d)))
 
+    @pytest.mark.parametrize("shape", [(3, 1), (3, 3), (1,)])
+    def test_batch_of_another_width_rejected(self, shape):
+        sc = Standardizer.fit(generate_artificial(5, seed=0).features)
+        with pytest.raises(
+            DataError, match=f"batch has {shape[-1]} columns, the standardizer "
+            "was fitted on 2"
+        ):
+            sc.transform(np.zeros(shape))
+
     def test_standardized_dataset_helper(self):
         ds = generate_artificial(30, seed=0)
         sc = Standardizer.fit(ds.features)
@@ -319,6 +328,14 @@ class TestDatasetInvariants:
     def test_malformed_dataset_rejected(self, features, labels, columns, message):
         with pytest.raises(DataError, match=message):
             Dataset(features, labels, columns, ["x", "y"])
+
+    def test_label_codes_must_be_whole(self):
+        for labels in ([0.5, 1.7, 0, 1], ["a", "b", "a", "b"], [np.nan, 0, 1, 0]):
+            with pytest.raises(DataError, match="label codes must be whole numbers"):
+                Dataset(np.zeros((4, 1)), labels, ["v"], ["A", "B"])
+        for labels in ([0, 1, 0, 1], [False, True, False, True], [0.0, 1.0, 0.0, 1.0]):
+            ds = Dataset(np.zeros((4, 1)), labels, ["v"], ["A", "B"])
+            assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1, 0, 1]
 
     def test_duplicate_column_names_rejected(self):
         with pytest.raises(DataError, match=r"duplicate column names \['x'\]"):

@@ -222,6 +222,15 @@ class TestWilcoxon:
             stat = float(ranks[diff > 0].sum())
             assert evaluation._exact_signed_rank_p(ranks, stat) == reference_p(ranks, stat)
 
+    @pytest.mark.parametrize("a, b", [
+        ([math.nan] * 8, [0.0] * 8),
+        ([math.inf] * 8, [math.inf] * 8),
+        ([1.0] * 7 + [math.nan], [0.0] * 8),
+    ])
+    def test_nan_difference_rejected(self, a, b):
+        with pytest.raises(DataError, match="paired differences must not be NaN"):
+            wilcoxon_signed_rank(np.array(a), np.array(b))
+
     def test_one_tie_group_keeps_normal_variance_positive(self):
         # A single group of n ties removes (n^3 - n) / 48, the most ties
         # can, which leaves a variance of 3n(n + 1)^2 / 48.
@@ -283,6 +292,13 @@ class TestFidelitySphere:
         features, predicted = self.line_geometry()
         sphere = fidelity_sphere(features, predicted, 0, 0.95)
         assert (predicted[sphere] == 1).sum() == 5  # all allies are close
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, 1.5, -0.5, math.nan])
+    def test_p_outside_open_unit_interval_rejected(self, p):
+        features = np.random.default_rng(1).standard_normal((200, 2))
+        predicted = (features[:, 0] > 0).astype(np.int64)
+        with pytest.raises(DataError, match="p must lie strictly between 0 and 1"):
+            fidelity_sphere(features, predicted, 0, p)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=100, deadline=None)
@@ -460,6 +476,20 @@ class TestRunSetting:
         monkeypatch.setattr(models, "fit_on_standardized", must_not_fit)
         with pytest.raises(DataError, match="strategies must be distinct"):
             run_setting(train, test, "lr", ("baseline", "baseline"))
+
+    @pytest.mark.parametrize("columns", [[0], [1, 0]], ids=["first-only", "swapped"])
+    def test_test_columns_must_match_training(self, monkeypatch, columns):
+        ds = generate_artificial(40, seed=0)
+        train, test = train_test_split(ds, SplitSpec())
+        names = [test.column_names[j] for j in columns]
+        test = Dataset(test.features[:, columns], test.labels, names, test.class_names)
+
+        def must_not_fit(*args, **kwargs):
+            raise AssertionError("a model was trained")
+
+        monkeypatch.setattr(models, "fit_on_standardized", must_not_fit)
+        with pytest.raises(DataError, match="differ from the training columns"):
+            run_setting(train, test, "lr", ("leafage", "lime", "baseline"))
 
     @pytest.mark.parametrize("classifier", ["lr", "knn"])
     def test_one_fit_per_distinct_closest_enemy(self, monkeypatch, classifier):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from pathlib import Path
 
@@ -33,6 +34,31 @@ def reference_report():
         standardizer=trained.standardizer,
     )
     return build_report(explanation, ds, trained.model.descriptor, seed=7)
+
+
+# Every numeric position of the reference report as a (holder, key) getter,
+# with the non-finite values its type allows: a JSON integer can only be
+# too large for a double.
+_BAD = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+        "huge": 10**400, "-huge": -(10**400)}
+_FLOAT_BAD = ["nan", "inf", "-inf", "huge"]
+_INT_BAD = ["huge", "-huge"]
+_POSITIONS = {
+    "instance": (lambda r: (r["instance"], "x2"), _FLOAT_BAD),
+    "importance-value": (lambda r: (r["importances"][0], "value"), _FLOAT_BAD),
+    "importance-importance": (lambda r: (r["importances"][1], "importance"), _FLOAT_BAD),
+    "importance-rank": (lambda r: (r["importances"][0], "rank"), _INT_BAD),
+    "allies-feature": (lambda r: (r["allies"][1]["features"], "x1"), _FLOAT_BAD),
+    "enemies-feature": (lambda r: (r["enemies"][4]["features"], "x2"), _FLOAT_BAD),
+    "allies-dissimilarity": (lambda r: (r["allies"][2], "dissimilarity"), _FLOAT_BAD),
+    "enemies-dissimilarity": (lambda r: (r["enemies"][0], "dissimilarity"), _FLOAT_BAD),
+    "seed": (lambda r: (r, "seed"), _INT_BAD),
+}
+NON_FINITE_CASES = [
+    pytest.param(getter, _BAD[bad], id=f"{name}-{bad}")
+    for name, (getter, values) in _POSITIONS.items()
+    for bad in values
+]
 
 
 class TestReportDocument:
@@ -90,7 +116,28 @@ class TestReportDocument:
         with pytest.raises(DataError, match="finite"):
             validate_report(report)
         path = tmp_path / "report.json"
-        with pytest.raises(DataError, match="not valid JSON"):
+        with pytest.raises(DataError, match="non-finite"):
+            write_report(report, str(path))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("position, bad", NON_FINITE_CASES)
+    def test_every_non_finite_number_rejected(self, tmp_path, position, bad):
+        report = reference_report()
+        holder, key = position(report)
+        holder[key] = bad
+        message = f"'{key}' is a non-finite number"
+        with pytest.raises(DataError, match=message):
+            validate_report(report)
+        path = tmp_path / "report.json"
+        with pytest.raises(DataError, match=message):
+            write_report(report, str(path))
+        assert not path.exists()
+
+    def test_write_refuses_a_non_string_flag(self, tmp_path):
+        report = reference_report()
+        report["flags"] = ["ally_shortfall", 1]
+        path = tmp_path / "report.json"
+        with pytest.raises(DataError, match="flags must be strings"):
             write_report(report, str(path))
         assert not path.exists()
 
