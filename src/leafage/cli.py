@@ -23,6 +23,7 @@ from .core import LeafageConfig, explain
 from .data import (
     Dataset,
     SplitSpec,
+    check_fraction,
     generate_artificial,
     load_csv,
     one_vs_rest,
@@ -273,10 +274,17 @@ def cmd_evaluate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
             f"unknown classifier {unknown[0]!r}; "
             f"choose from {models.CANONICAL_ALGORITHMS}"
         )
-    if not 0.0 < args.alpha < 1.0:
-        raise DataError("alpha must lie strictly between 0 and 1")
+    check_fraction("alpha", args.alpha)
     leafage_cfg = LeafageConfig(i_small=args.i_small)
     fidelity_cfg = FidelityConfig(p=args.p)
+
+    # Every CSV is read once, before the first setting runs; ``ad`` is
+    # drawn per seed.
+    csv_variants = {
+        token: _binary_variants(load_csv(token, args.label_column))
+        for token in datasets
+        if token != "ad"
+    }
 
     # Each setting's per-instance AUCs, concatenated in seed order.  Skips
     # are shared by all strategies within a seed, so the pooled vectors of
@@ -288,8 +296,11 @@ def cmd_evaluate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
             train_fraction=args.train_fraction, seed=seed, stratified=args.stratified
         )
         for token in datasets:
-            ds = _load_dataset(token, args.label_column, args.n_per_class, seed)
-            for binary in _binary_variants(ds):
+            if token == "ad":
+                variants = _binary_variants(generate_artificial(args.n_per_class, seed))
+            else:
+                variants = csv_variants[token]
+            for binary in variants:
                 train, test = train_test_split(binary, split)
                 for classifier in classifiers:
                     for summary in run_setting(

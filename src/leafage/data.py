@@ -54,6 +54,8 @@ class Dataset:
         labels = np.asarray(self.labels)
         if features.ndim != 2:
             raise DataError("feature matrix must be two-dimensional")
+        if labels.ndim != 1:
+            raise DataError(f"labels must be one-dimensional, got shape {labels.shape}")
         if features.shape[0] != labels.shape[0]:
             raise DataError(
                 f"row count mismatch: {features.shape[0]} feature rows vs "
@@ -141,6 +143,12 @@ class Standardizer:
         return (features - self.means) / self.scales
 
 
+def check_fraction(name: str, value: float) -> None:
+    """``value`` lies in the open interval (0, 1); NaN does not."""
+    if not 0.0 < value < 1.0:
+        raise DataError(f"{name} must lie strictly between 0 and 1")
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Deterministic train/test split parameters."""
@@ -150,8 +158,7 @@ class SplitSpec:
     stratified: bool = False
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.train_fraction < 1.0:
-            raise DataError("train_fraction must lie strictly between 0 and 1")
+        check_fraction("train_fraction", self.train_fraction)
 
 
 def _parse_cell(text: str, row: int, column: str) -> float:

@@ -24,7 +24,7 @@ from .core import (
     fit_local_linear,
     sample_local_training_set,
 )
-from .data import Dataset
+from .data import Dataset, check_fraction
 from .errors import DataError, NoEnemiesError
 from .lime import LimeConfig, QuartileBins, lime_fit, lime_quartile_fit
 
@@ -53,11 +53,6 @@ KNOWN_STRATEGIES = (*STRATEGIES, "lime-quartile")
 WILCOXON_EXACT_LIMIT = 25
 
 
-def _check_p(p: float) -> None:
-    if not 0.0 < p < 1.0:
-        raise DataError("p must lie strictly between 0 and 1")
-
-
 @dataclass(frozen=True)
 class FidelityConfig:
     """Sphere inclusion fraction."""
@@ -66,7 +61,7 @@ class FidelityConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_p(self.p)
+        check_fraction("p", self.p)
 
 
 @dataclass
@@ -225,7 +220,7 @@ def fidelity_sphere(
     predicted label differs from the centre's.  The centre itself is
     excluded; the ball is closed.  ``p`` lies strictly between 0 and 1.
     """
-    _check_p(p)
+    check_fraction("p", p)
     predicted = np.asarray(predicted)
     dist = _euclidean(features, features[z_index])
     others = np.arange(features.shape[0]) != z_index

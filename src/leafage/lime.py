@@ -26,7 +26,6 @@ from .errors import DataError, ExplanationError
 
 __all__ = [
     "LimeConfig",
-    "kernel_width",
     "lime_sample",
     "kernel_weights",
     "lime_fit",
@@ -39,11 +38,6 @@ __all__ = [
 # its std is at most half its width, so each draw lands inside with
 # probability above 0.47; what is left after the last round is clipped.
 TRUNCATED_NORMAL_ROUNDS = 64
-
-
-def kernel_width(d: int) -> float:
-    """The conventional kernel width 0.75 * sqrt(d) for ``d`` features."""
-    return 0.75 * math.sqrt(d)
 
 
 @dataclass(frozen=True)
@@ -74,8 +68,10 @@ def lime_sample(d: int, cfg: LimeConfig) -> np.ndarray:
     return rng.standard_normal((cfg.n_samples, d))
 
 
-def kernel_weights(z: np.ndarray, rows: np.ndarray, sigma: float) -> np.ndarray:
-    """Exponential proximity kernel exp(-||x - z||^2 / sigma^2) per row."""
+def kernel_weights(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Exponential proximity kernel exp(-||x - z||^2 / sigma^2) per row, with
+    the conventional width sigma = 0.75 * sqrt(d) for rows of ``d`` features."""
+    sigma = 0.75 * math.sqrt(rows.shape[1])
     diff = rows - z
     return np.exp(-np.einsum("ij,ij->i", diff, diff) / sigma**2)
 
@@ -103,7 +99,7 @@ def _kernel_fit(
     return weighted_logistic_fit(
         points,
         model.predict_labels(samples),
-        sample_weight=kernel_weights(z_point, points, kernel_width(points.shape[1])),
+        sample_weight=kernel_weights(z_point, points),
     )
 
 
@@ -111,14 +107,13 @@ def _kernel_fit(
 class QuartileBins:
     """Per-feature quartile bins of the (standardized) training rows.
 
-    Feature ``j`` has the ascending distinct quartiles ``edges[j]`` (tied
-    quartiles merge, so there are one to three) and the bounds
-    ``[min, *edges[j], max]`` of its training values.  Bin ``k`` spans
+    Feature ``j`` has the bounds ``[min, *edges, max]`` of its training
+    values, where ``edges`` are the ascending distinct quartiles (tied
+    quartiles merge, so there are one to three).  Bin ``k`` spans
     ``bounds[j][k]`` to ``bounds[j][k + 1]``; a value on an edge falls in
     the lower bin.  Per bin the arrays hold the training row count, mean and std.
     """
 
-    edges: tuple[np.ndarray, ...]
     counts: tuple[np.ndarray, ...]
     means: tuple[np.ndarray, ...]
     stds: tuple[np.ndarray, ...]
@@ -134,13 +129,13 @@ class QuartileBins:
 
     @property
     def d(self) -> int:
-        return len(self.edges)
+        return len(self.bounds)
 
     def encode(self, rows: np.ndarray) -> np.ndarray:
         """Bin index of every value, shape ``(n, d)``."""
         rows = np.asarray(rows, dtype=np.float64)
         return np.column_stack(
-            [np.searchsorted(edges, rows[:, j]) for j, edges in enumerate(self.edges)]
+            [np.searchsorted(b[1:-1], rows[:, j]) for j, b in enumerate(self.bounds)]
         )
 
     def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -167,7 +162,7 @@ class QuartileBins:
 
 
 def _column_bins(column: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Edges, per bin count, mean and std, then the bins' bounds."""
+    """Per bin count, mean and std, then the bins' bounds."""
     edges = np.unique(np.percentile(column, [25, 50, 75]))
     codes = np.searchsorted(edges, column)
     counts = np.bincount(codes, minlength=edges.size + 1)
@@ -177,7 +172,6 @@ def _column_bins(column: np.ndarray) -> tuple[np.ndarray, ...]:
         codes, weights=(column - means[codes]) ** 2, minlength=edges.size + 1
     )
     return (
-        edges,
         counts,
         means,
         np.sqrt(squares / filled),

@@ -11,8 +11,6 @@ import html
 import json
 import math
 
-import numpy as np
-
 from .core import Explanation
 from .data import Dataset
 from .errors import DataError
@@ -43,6 +41,13 @@ _IMPORTANCE_FIELDS = {"feature": str, "value": float, "importance": float, "rank
 _EXAMPLE_FIELDS = {"features": dict, "dissimilarity": float}
 
 
+def _ranks(importances) -> list[int]:
+    """Rank of each importance: 1 is the largest, and ties keep list order."""
+    order = sorted(range(len(importances)), key=lambda j: -importances[j])
+    # The inverse permutation of ``order``: each position's place in it.
+    return [r + 1 for r in sorted(range(len(order)), key=order.__getitem__)]
+
+
 def build_report(
     explanation: Explanation,
     train: Dataset,
@@ -52,10 +57,7 @@ def build_report(
     """Assemble the canonical JSON document for one explanation."""
     names = train.column_names
     importances = explanation.importances
-    # Rank 1 = most important; importance ties keep column order.
-    order = np.lexsort((np.arange(len(names)), -importances))
-    rank = np.empty(len(names), dtype=np.int64)
-    rank[order] = np.arange(1, len(names) + 1)
+    ranks = _ranks(importances)
 
     def example_entry(example) -> dict:
         return {
@@ -76,7 +78,7 @@ def build_report(
                 "feature": names[j],
                 "value": float(explanation.test_instance[j]),
                 "importance": float(importances[j]),
-                "rank": int(rank[j]),
+                "rank": ranks[j],
             }
             for j in range(len(names))
         ],
@@ -142,12 +144,15 @@ def validate_report(report: dict) -> dict:
     importances = report["importances"]
     for entry in importances:
         _check_fields(entry, _IMPORTANCE_FIELDS, "importances entry")
+        if entry["importance"] < 0:
+            raise DataError("importances entry: field 'importance' is negative")
     if sorted(e["feature"] for e in importances) != sorted(instance):
         raise DataError("importances must name each instance feature exactly once")
     if any(e["value"] != instance[e["feature"]] for e in importances):
         raise DataError("importance values must equal the instance's")
-    if sorted(e["rank"] for e in importances) != list(range(1, len(instance) + 1)):
-        raise DataError("importance ranks must be a permutation of 1..d")
+    ranks = _ranks([e["importance"] for e in importances])
+    if [e["rank"] for e in importances] != ranks:
+        raise DataError("importance ranks must be the permutation ordering importances")
     for section in ("allies", "enemies"):
         for entry in report[section]:
             _check_fields(entry, _EXAMPLE_FIELDS, f"{section} entry")

@@ -455,7 +455,7 @@ class TestEvaluateSeeds:
         assert code == 4
         assert not out.exists()
 
-    @pytest.mark.parametrize("alpha", [0, 1, 1.5, -0.1])
+    @pytest.mark.parametrize("alpha", [0, 1, 1.5, -0.1, "nan"])
     def test_alpha_outside_open_unit_interval_exit_3(self, tmp_path, monkeypatch,
                                                      alpha):
         monkeypatch.setattr(cli, "run_setting", self.must_not_run)
@@ -463,6 +463,36 @@ class TestEvaluateSeeds:
         code = run(self.ARGS + ["--seed", 0, "--alpha", alpha, "--out", out])
         assert code == 3
         assert not out.exists()
+
+    def test_missing_csv_exit_3_before_any_setting(self, tmp_path, monkeypatch,
+                                                  capsys):
+        monkeypatch.setattr(cli, "run_setting", self.must_not_run)
+        missing = tmp_path / "missing.csv"
+        out = tmp_path / "r.csv"
+        code = run(self.ARGS + ["--datasets", f"ad,{missing}", "--seed", 0,
+                                "--out", out])
+        assert code == 3
+        assert f"cannot open {missing}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_each_csv_read_once(self, tmp_path, monkeypatch):
+        paths = [tmp_path / "a.csv", three_class_csv(tmp_path / "b.csv")]
+        assert run(["gen-ad", "--n-per-class", 20, "--out", paths[0]]) == 0
+        load_csv = cli.load_csv
+        reads = []
+
+        def counting_load_csv(path, label_column):
+            reads.append(path)
+            return load_csv(path, label_column)
+
+        monkeypatch.setattr(cli, "load_csv", counting_load_csv)
+        out = tmp_path / "r.csv"
+        code = run(["evaluate", "--datasets", ",".join(map(str, paths)),
+                    "--classifiers", "lr", "--strategies", "baseline",
+                    "--seed", 0, 1, 2, "--out", out])
+        assert code == 0
+        assert reads == [str(path) for path in paths]
+        assert len(read_results(out)) == 1 + 3  # two-class a, one-vs-rest b
 
 
     @pytest.mark.parametrize("option, value", [("--i-small", 1), ("--lime-samples", 0)])

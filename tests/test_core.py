@@ -200,7 +200,7 @@ def lime_size_two_class(seed):
     X = rng.normal(size=(5000, d))
     rule = np.linspace(1.0, -0.5, d)
     y = (X @ rule + 0.3 + 0.5 * rng.logistic(size=5000) > 0).astype(float)
-    sw = lime.kernel_weights(X[0], X, lime.kernel_width(d))
+    sw = lime.kernel_weights(X[0], X)
     return X, y, sw
 
 

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,9 +193,12 @@ class TestSplit:
         with pytest.raises(DataError, match="empty partition"):
             train_test_split(ds, SplitSpec(train_fraction=0.9, seed=0))
 
-    def test_bad_fraction_rejected(self):
-        with pytest.raises(DataError):
-            SplitSpec(train_fraction=1.0)
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, math.nan])
+    def test_bad_fraction_rejected(self, fraction):
+        with pytest.raises(
+            DataError, match="train_fraction must lie strictly between 0 and 1"
+        ):
+            SplitSpec(train_fraction=fraction)
 
     def test_single_row_rejected(self):
         ds = Dataset(np.zeros((1, 1)), [0], ["a"], ["x"])
@@ -328,6 +334,15 @@ class TestDatasetInvariants:
     def test_malformed_dataset_rejected(self, features, labels, columns, message):
         with pytest.raises(DataError, match=message):
             Dataset(features, labels, columns, ["x", "y"])
+
+    @pytest.mark.parametrize("features, labels, shape", [
+        (np.zeros((2, 1)), np.array([[0], [1]]), "(2, 1)"),
+        (np.zeros((1, 1)), 0, "()"),
+    ])
+    def test_labels_must_be_one_dimensional(self, features, labels, shape):
+        message = f"labels must be one-dimensional, got shape {shape}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            Dataset(features, labels, ["v"], ["A", "B"])
 
     def test_label_codes_must_be_whole(self):
         for labels in ([0.5, 1.7, 0, 1], ["a", "b", "a", "b"], [np.nan, 0, 1, 0]):

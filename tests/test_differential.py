@@ -128,7 +128,7 @@ class TestLogisticKernel:
         rng = np.random.default_rng(seed)
         samples = lime.lime_sample(d, lime.LimeConfig(seed=seed))
         z = rng.normal(size=d)
-        weights = lime.kernel_weights(z, samples, lime.kernel_width(d))
+        weights = lime.kernel_weights(z, samples)
         assert_same_fit(samples, draw_targets(rng, samples, kind), weights)
 
     @pytest.mark.parametrize("case", ["zero_column", "zero_weights"])

@@ -455,7 +455,7 @@ class TestRunSetting:
         with pytest.raises(DataError, match="requires binary datasets"):
             run_setting(train, test, "lr")
 
-    @pytest.mark.parametrize("p", [0.0, 1.0, 1.5])
+    @pytest.mark.parametrize("p", [0.0, 1.0, 1.5, math.nan])
     def test_sphere_fraction_outside_open_unit_interval(self, p):
         with pytest.raises(DataError, match="p must lie strictly between 0 and 1"):
             FidelityConfig(p=p)

@@ -12,7 +12,6 @@ from leafage.lime import (
     LimeConfig,
     QuartileBins,
     kernel_weights,
-    kernel_width,
     lime_fit,
     lime_quartile_fit,
     lime_sample,
@@ -46,29 +45,36 @@ class TestSampling:
 
 
 class TestKernel:
+    # On rows of four features the width 0.75 * sqrt(4) is exactly 1.5.
     def test_at_center(self):
-        assert kernel_weights(np.zeros(3), np.zeros((1, 3)), 1.5).tolist() == [1.0]
+        assert kernel_weights(np.zeros(4), np.zeros((1, 4))).tolist() == [1.0]
 
     def test_at_sigma(self):
         # ||x - z|| = sigma gives exactly e^-1
-        z = np.zeros(2)
-        (w,) = kernel_weights(z, np.array([[1.5, 0.0]]), 1.5)
+        z = np.zeros(4)
+        (w,) = kernel_weights(z, np.array([[1.5, 0.0, 0.0, 0.0]]))
         assert w == pytest.approx(math.exp(-1), abs=1e-12)
         assert w == pytest.approx(0.36788, abs=5e-6)
 
-    def test_default_sigma_d4(self):
-        assert kernel_width(4) == pytest.approx(1.5)
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_width_follows_the_row_width(self, d):
+        rows = np.random.default_rng(d).normal(size=(50, d))
+        z = rows[0] + 0.5
+        diff = rows - z
+        sq = np.einsum("ij,ij->i", diff, diff)
+        expected = np.exp(-sq / (0.75 * math.sqrt(d)) ** 2)
+        assert kernel_weights(z, rows).tobytes() == expected.tobytes()
 
     @given(
         st.floats(min_value=0.0, max_value=10.0),
         st.floats(min_value=0.0, max_value=10.0),
-        st.floats(min_value=0.1, max_value=5.0),
     )
     @settings(max_examples=200, deadline=None)
-    def test_monotone_decreasing_in_distance(self, r1, r2, sigma):
-        z = np.zeros(2)
+    def test_monotone_decreasing_in_distance(self, r1, r2):
+        z = np.zeros(4)
         near, far = sorted([r1, r2])
-        w_near, w_far = kernel_weights(z, np.array([[near, 0.0], [far, 0.0]]), sigma)
+        rows = np.array([[near, 0.0, 0.0, 0.0], [far, 0.0, 0.0, 0.0]])
+        w_near, w_far = kernel_weights(z, rows)
         assert w_near >= w_far
         # mathematically in (0, 1]; float underflow can reach exactly 0
         assert 0.0 <= w_far <= 1.0
@@ -110,7 +116,7 @@ class TestFit:
         s = lime_fit(model, z, cfg)
         rng = np.random.default_rng(99)
         fresh = rng.standard_normal((20000, 2))
-        inside = np.linalg.norm(fresh - z, axis=1) <= 2 * kernel_width(2)
+        inside = np.linalg.norm(fresh - z, axis=1) <= 2 * 0.75 * math.sqrt(2)
         fresh = fresh[inside]
         agree = np.mean(
             (s.score(fresh) >= 0).astype(int) == model.predict_labels(fresh)
@@ -130,7 +136,7 @@ class TestQuartile:
 
     def test_edge_value_falls_in_lower_bin(self):
         bins = QuartileBins.fit(np.arange(5.0)[:, None])  # quartiles 1, 2, 3
-        assert np.array_equal(bins.edges[0], [1.0, 2.0, 3.0])
+        assert np.array_equal(bins.bounds[0][1:-1], [1.0, 2.0, 3.0])
         rows = np.array([[0.0], [1.0], [np.nextafter(1.0, 2.0)], [3.0], [4.0], [9.0]])
         assert bins.encode(rows)[:, 0].tolist() == [0, 0, 1, 2, 3, 3]
         assert bins.bounds[0].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
@@ -197,8 +203,8 @@ class TestQuartile:
             ]
         )
         bins = QuartileBins.fit(X)
-        assert bins.edges[0].tolist() == [1.5]
-        assert bins.edges[1].size < 3
+        assert bins.bounds[0][1:-1].tolist() == [1.5]
+        assert bins.bounds[1][1:-1].size < 3
         codes, values = bins.sample(3000, np.random.default_rng(4))
         assert np.array_equal(bins.encode(values), codes)
         assert np.all(values[:, 0] == 1.5)

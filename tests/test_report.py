@@ -5,9 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from leafage.core import LeafageConfig, explain
-from leafage.data import generate_artificial
+from leafage.core import Explanation, LeafageConfig, explain
+from leafage.data import Dataset, generate_artificial
 from leafage.errors import DataError
 from leafage.models import fit_on_standardized
 from leafage.report import (
@@ -109,6 +111,49 @@ class TestReportDocument:
         report["importances"][1]["rank"] = 2
         with pytest.raises(DataError, match="permutation"):
             validate_report(report)
+
+    def test_ranks_must_follow_the_importances(self):
+        report = reference_report()
+        for entry in report["importances"]:
+            entry["rank"] = 3 - entry["rank"]
+        with pytest.raises(DataError, match="permutation"):
+            validate_report(report)
+
+    @pytest.mark.parametrize("bad", [-5.0, -1e-300])
+    def test_negative_importance_rejected(self, tmp_path, bad):
+        report = reference_report()
+        report["importances"][0]["importance"] = bad
+        with pytest.raises(DataError, match="field 'importance' is negative"):
+            validate_report(report)
+        path = tmp_path / "report.json"
+        with pytest.raises(DataError, match="negative"):
+            write_report(report, str(path))
+        assert not path.exists()
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 0.25, 1.0]),
+                st.floats(min_value=0.0, max_value=10.0),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_build_ranks_match_the_lexsort_rule(self, values):
+        d = len(values)
+        names = [f"v{j}" for j in range(d)]
+        train = Dataset(np.zeros((2, d)), np.array([0, 1]), names, ["A", "B"])
+        importances = np.array(values)
+        explanation = Explanation(np.zeros(d), "A", importances, [], [], None)
+        report = build_report(explanation, train, "m")
+        # Rank 1 = most important; importance ties keep column order.
+        order = np.lexsort((np.arange(d), -importances))
+        expected = np.empty(d, dtype=np.int64)
+        expected[order] = np.arange(1, d + 1)
+        assert [e["rank"] for e in report["importances"]] == expected.tolist()
+        assert validate_report(report) is report
 
     def test_non_finite_importance_rejected(self, tmp_path):
         report = reference_report()
@@ -260,8 +305,9 @@ class TestSvg:
 
     def test_degenerate_report_shows_banner_no_bars(self):
         report = reference_report()
-        for entry in report["importances"]:
+        for rank, entry in enumerate(report["importances"], 1):
             entry["importance"] = 0.0
+            entry["rank"] = rank
         report["flags"] = ["degenerate_surrogate"]
         svg = render_svg(report)
         assert "degenerate_surrogate" in svg
