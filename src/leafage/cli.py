@@ -168,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--p", type=float, default=0.95)
     ev.add_argument("--alpha", type=float, default=0.05)
     ev.add_argument("--train-fraction", type=float, default=0.7)
-    ev.add_argument("--stratified", action="store_true")
     ev.add_argument("--i-small", type=int, default=10)
     ev.add_argument("--lime-samples", type=int, default=5000)
     ev.add_argument("--n-per-class", type=int, default=DEFAULT_N_PER_CLASS)
@@ -292,9 +291,7 @@ def cmd_evaluate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     pooled: dict[tuple[str, str, str, str], list[np.ndarray]] = {}
     for seed in seeds:
         lime_cfg = LimeConfig(n_samples=args.lime_samples, seed=seed)
-        split = SplitSpec(
-            train_fraction=args.train_fraction, seed=seed, stratified=args.stratified
-        )
+        split = SplitSpec(train_fraction=args.train_fraction, seed=seed)
         for token in datasets:
             if token == "ad":
                 variants = _binary_variants(generate_artificial(args.n_per_class, seed))

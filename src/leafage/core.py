@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, Standardizer
+from .data import Dataset, Standardizer, check_integer
 from .errors import DataError, ExplanationError, NoEnemiesError
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "LocalSurrogate",
     "Example",
     "Explanation",
+    "check_instance",
     "closest_enemy",
     "sample_local_training_set",
     "fit_local_linear",
@@ -40,13 +41,6 @@ DEGENERATE_WEIGHT_NORM = 1e-12
 SURROGATE_L2 = 1e-4
 SURROGATE_MAX_ITER = 100
 SURROGATE_TOL = 1e-8
-
-
-def check_integer(name: str, value) -> None:
-    """Raise DataError unless ``value`` is a Python or numpy integer; a
-    bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DataError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -109,6 +103,17 @@ class Explanation:
     enemies: list[Example]
     surrogate: LocalSurrogate
     flags: tuple[str, ...] = ()
+
+
+def check_instance(z, d: int) -> np.ndarray:
+    """``z`` as a float64 array of shape ``(d,)``; ExplanationError on any
+    other shape or on a non-finite value."""
+    z = np.asarray(z, dtype=np.float64)
+    if z.shape != (d,):
+        raise ExplanationError(f"instance has shape {z.shape}, expected ({d},)")
+    if not np.all(np.isfinite(z)):
+        raise ExplanationError("instance has non-finite feature values")
+    return z
 
 
 def _euclidean(rows: np.ndarray, point: np.ndarray) -> np.ndarray:
@@ -384,13 +389,7 @@ def explain(
             "classes; expand it one-vs-rest (data.one_vs_rest)"
         )
     cfg = cfg or LeafageConfig()
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (train.d,):
-        raise ExplanationError(
-            f"instance has shape {z.shape}, expected ({train.d},)"
-        )
-    if not np.all(np.isfinite(z)):
-        raise ExplanationError("instance has non-finite feature values")
+    z = check_instance(z, train.d)
     X_std = standardizer.transform(train.features)
     # A far instance can overflow a double: such steps run quietly, and a
     # non-finite result is rejected.

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -34,13 +35,21 @@ def _duplicates(names: list[str]) -> list[str]:
     return sorted(name for name, count in Counter(names).items() if count > 1)
 
 
+def _name_list(field: str, names) -> list[str]:
+    """A list or tuple of strings as a new list; a bare string would read
+    as one name per character."""
+    if isinstance(names, (list, tuple)) and all(isinstance(n, str) for n in names):
+        return list(names)
+    raise DataError(f"{field} must be a list of strings, got {names!r}")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """An immutable feature matrix with labels and column metadata.
 
     ``features`` is an (n, d) float array, ``labels`` an (n,) array of
-    integer codes into ``class_names``.  Arrays are marked read-only so a
-    Dataset can be shared freely across threads.
+    integer codes into ``class_names``; both names are lists of strings.
+    Arrays are marked read-only so a Dataset can be shared across threads.
     """
 
     features: np.ndarray
@@ -50,6 +59,8 @@ class Dataset:
     name: str = ""
 
     def __post_init__(self) -> None:
+        for attr in ("column_names", "class_names"):
+            object.__setattr__(self, attr, _name_list(attr, getattr(self, attr)))
         features = np.ascontiguousarray(self.features, dtype=np.float64)
         labels = np.asarray(self.labels)
         if features.ndim != 2:
@@ -143,9 +154,32 @@ class Standardizer:
         return (features - self.means) / self.scales
 
 
+def is_integer(value) -> bool:
+    """A Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A real number, numpy scalars included; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_integer(name: str, value) -> None:
+    """Raise DataError unless ``value`` is an integer (:func:`is_integer`)."""
+    if not is_integer(value):
+        raise DataError(f"{name} must be an integer, got {value!r}")
+
+
+def check_seed(value) -> None:
+    """A seed is a non-negative integer, as the CLI's ``--seed`` is."""
+    check_integer("seed", value)
+    if value < 0:
+        raise DataError(f"seed must be a non-negative integer, got {value!r}")
+
+
 def check_fraction(name: str, value: float) -> None:
-    """``value`` lies in the open interval (0, 1); NaN does not."""
-    if not 0.0 < value < 1.0:
+    """``value`` is a real number in the open interval (0, 1); NaN is not."""
+    if not (is_real(value) and 0.0 < value < 1.0):
         raise DataError(f"{name} must lie strictly between 0 and 1")
 
 
@@ -155,10 +189,10 @@ class SplitSpec:
 
     train_fraction: float = 0.7
     seed: int = 0
-    stratified: bool = False
 
     def __post_init__(self) -> None:
         check_fraction("train_fraction", self.train_fraction)
+        check_seed(self.seed)
 
 
 def _parse_cell(text: str, row: int, column: str) -> float:
@@ -251,32 +285,24 @@ def save_csv(ds: Dataset, path: str) -> None:
 
 
 def train_test_split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
-    """Disjoint row partition; identical seed reproduces the partition."""
+    """Disjoint row partition; identical seed reproduces the partition.
+
+    The rows are permuted once under ``spec.seed``, and the first
+    ``train_fraction * n`` of them, rounded half up, go to training.  Both
+    parts keep the dataset's row order.
+    """
     if ds.n < 2:
         raise DataError("cannot split a dataset with fewer than 2 rows")
-    rng = np.random.default_rng(spec.seed)
-    # Each group (one per class when stratified, else all rows) is permuted
-    # and its first fraction * size rows, rounded half up, go to training.
-    if spec.stratified:
-        groups = [np.flatnonzero(ds.labels == c) for c in range(len(ds.class_names))]
-    else:
-        groups = [np.arange(ds.n)]
-    train_parts, test_parts = [], []
-    for members in groups:
-        perm = members[rng.permutation(members.size)]
-        k = math.floor(spec.train_fraction * members.size + 0.5)
-        train_parts.append(perm[:k])
-        test_parts.append(perm[k:])
-    train_idx = np.sort(np.concatenate(train_parts))
-    test_idx = np.sort(np.concatenate(test_parts))
-    if train_idx.size == 0 or test_idx.size == 0:
+    perm = np.random.default_rng(spec.seed).permutation(ds.n)
+    k = math.floor(spec.train_fraction * ds.n + 0.5)
+    if not 0 < k < ds.n:
         raise DataError(
             f"split produced an empty partition (n={ds.n}, "
             f"train_fraction={spec.train_fraction})"
         )
     return tuple(
         replace(ds, features=ds.features[idx], labels=ds.labels[idx])
-        for idx in (train_idx, test_idx)
+        for idx in (np.sort(perm[:k]), np.sort(perm[k:]))
     )
 
 
@@ -310,6 +336,8 @@ def generate_artificial(n_per_class: int, seed: int) -> Dataset:
     covariance diag(2, 2), so a Bayes-optimal rule still errs on roughly
     a third of instances.
     """
+    check_integer("n_per_class", n_per_class)
+    check_seed(seed)
     if n_per_class < 1:
         raise DataError("n_per_class must be at least 1")
     rng = np.random.default_rng(seed)

@@ -316,8 +316,7 @@ def run_setting(
                     local = sample_local_training_set(
                         X_train, pred_train, x_border, leafage_cfg
                     )
-                    fit = fit_local_linear(X_train, pred_train, local)
-                    surrogates[x_border] = LocalSurrogate(fit.weights, fit.intercept)
+                    surrogates[x_border] = fit_local_linear(X_train, pred_train, local)
                 surrogate = surrogates[x_border]
             else:
                 seed = np.random.SeedSequence([lime_cfg.seed, i]).generate_state(1)[0]

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LocalSurrogate, check_integer, weighted_logistic_fit
+from .core import LocalSurrogate, check_instance, weighted_logistic_fit
+from .data import check_integer, check_seed
 from .errors import DataError, ExplanationError
 
 __all__ = [
@@ -49,6 +50,7 @@ class LimeConfig:
 
     def __post_init__(self) -> None:
         check_integer("n_samples", self.n_samples)
+        check_seed(self.seed)
 
     def check_n_samples(self, d: int) -> None:
         if self.n_samples < 10 * d:
@@ -82,9 +84,7 @@ def lime_fit(model, z: np.ndarray, cfg: LimeConfig) -> LocalSurrogate:
     ``z`` is in standardized space.  Degenerate when the black box labels
     every sample identically.
     """
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1:
-        raise ExplanationError(f"instance has shape {z.shape}, expected one row")
+    z = check_instance(z, np.size(z))
     samples = lime_sample(z.size, cfg)
     weights, intercept = _kernel_fit(model, samples, samples, z)
     return LocalSurrogate(weights=weights, intercept=intercept)
@@ -219,9 +219,7 @@ def lime_quartile_fit(
     representation, where ``z`` is all ones.  Degenerate when the black
     box labels every sample identically.
     """
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (bins.d,):
-        raise ExplanationError(f"instance has shape {z.shape}, expected ({bins.d},)")
+    z = check_instance(z, bins.d)
     cfg.check_n_samples(bins.d)
     codes, samples = bins.sample(cfg.n_samples, np.random.default_rng(cfg.seed))
     z_codes = bins.encode(z[None, :])[0]

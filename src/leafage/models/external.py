@@ -30,6 +30,7 @@ import time
 
 import numpy as np
 
+from ..data import is_integer, is_real
 from ..errors import ModelError
 from .base import BlackBoxModel, check_matrix
 
@@ -56,13 +57,9 @@ class ExternalModel(BlackBoxModel):
                 "external model command must be a non-empty list of strings, "
                 f"got {command!r}"
             )
-        if isinstance(n_features, bool) or not (
-            isinstance(n_features, int) and n_features >= 1
-        ):
+        if not (is_integer(n_features) and n_features >= 1):
             raise ModelError(f"n_features must be an integer >= 1, got {n_features!r}")
-        if isinstance(timeout_ms, bool) or not (
-            isinstance(timeout_ms, (int, float)) and 0 < timeout_ms < math.inf
-        ):
+        if not (is_real(timeout_ms) and 0 < timeout_ms < math.inf):
             raise ModelError(
                 f"timeout_ms must be a finite number > 0, got {timeout_ms!r}"
             )

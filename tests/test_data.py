@@ -173,7 +173,7 @@ class TestSplit:
         assert sorted(seen.tolist()) == list(range(n))
 
     def test_class_proportions_over_seeds(self):
-        # Monte-Carlo: unstratified split of n=1000 keeps train class
+        # Monte-Carlo: a split of n=1000 keeps train class
         # fractions within +-10 points of the full dataset across seeds.
         ds = generate_artificial(500, seed=7)
         overall = ds.class_counts()[1] / ds.n
@@ -182,23 +182,55 @@ class TestSplit:
             frac = train.class_counts()[1] / train.n
             assert abs(frac - overall) < 0.10
 
-    def test_stratified_keeps_proportions(self):
-        ds = generate_artificial(100, seed=0)
-        train, test = train_test_split(ds, SplitSpec(seed=5, stratified=True))
-        assert train.class_counts()[0] == train.class_counts()[1]
-        assert test.class_counts()[0] == test.class_counts()[1]
-
     def test_empty_partition_rejected(self):
         ds = generate_artificial(1, seed=0)  # n=2
         with pytest.raises(DataError, match="empty partition"):
             train_test_split(ds, SplitSpec(train_fraction=0.9, seed=0))
 
-    @pytest.mark.parametrize("fraction", [0.0, 1.0, math.nan])
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_frozen_permutation_rule(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=300))
+        # Fractions j / 2n put fraction * n on a half, where the rounding shows.
+        fraction = data.draw(st.one_of(
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+            st.integers(min_value=1, max_value=2 * n - 1).map(lambda j: j / (2 * n)),
+        ))
+        seed = data.draw(st.integers(min_value=0, max_value=2**63))
+        # Frozen reference: the split rule every committed output was made with.
+        members = np.arange(n)
+        perm = members[np.random.default_rng(seed).permutation(members.size)]
+        k = math.floor(fraction * members.size + 0.5)
+        want = np.sort(perm[:k]), np.sort(perm[k:])
+        features = np.arange(n, dtype=float)[:, None]
+        ds = Dataset(features, np.arange(n) % 2, ["v"], ["a", "b"])
+        spec = SplitSpec(train_fraction=fraction, seed=seed)
+        if want[0].size == 0 or want[1].size == 0:
+            with pytest.raises(DataError, match="empty partition"):
+                train_test_split(ds, spec)
+            return
+        got = train_test_split(ds, spec)
+        for part, idx in zip(got, want):
+            assert part.features[:, 0].tolist() == idx.tolist()
+            assert part.labels.tolist() == (idx % 2).tolist()
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, math.nan, "0.5", None])
     def test_bad_fraction_rejected(self, fraction):
         with pytest.raises(
             DataError, match="train_fraction must lie strictly between 0 and 1"
         ):
             SplitSpec(train_fraction=fraction)
+
+    @pytest.mark.parametrize("seed", [-1, 0.5, 1.0, True, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(DataError, match="seed must be"):
+            SplitSpec(seed=seed)
+
+    def test_numpy_integer_seed(self):
+        ds = generate_artificial(5, seed=0)
+        a = train_test_split(ds, SplitSpec(seed=np.uint32(3)))
+        b = train_test_split(ds, SplitSpec(seed=3))
+        assert all(np.array_equal(x.features, y.features) for x, y in zip(a, b))
 
     def test_single_row_rejected(self):
         ds = Dataset(np.zeros((1, 1)), [0], ["a"], ["x"])
@@ -253,6 +285,16 @@ class TestArtificial:
     def test_empty_class_rejected(self):
         with pytest.raises(DataError, match="n_per_class must be at least 1"):
             generate_artificial(0, seed=0)
+
+    @pytest.mark.parametrize("n_per_class", [2.5, 2.0, True, "2"])
+    def test_n_per_class_must_be_an_integer(self, n_per_class):
+        with pytest.raises(DataError, match="n_per_class must be an integer"):
+            generate_artificial(n_per_class, 0)
+
+    @pytest.mark.parametrize("seed", [-1, 0.5, True, None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(DataError, match="seed must be"):
+            generate_artificial(10, seed)
 
     def test_deterministic(self):
         assert np.array_equal(
@@ -351,6 +393,23 @@ class TestDatasetInvariants:
         for labels in ([0, 1, 0, 1], [False, True, False, True], [0.0, 1.0, 0.0, 1.0]):
             ds = Dataset(np.zeros((4, 1)), labels, ["v"], ["A", "B"])
             assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1, 0, 1]
+
+    def test_names_are_stored_as_lists(self):
+        ds = Dataset(np.zeros((2, 2)), [0, 1], ("x1", "x2"), ("A", "B"))
+        assert ds.column_names == ["x1", "x2"] and ds.class_names == ["A", "B"]
+        assert ds.column_names == generate_artificial(1, seed=0).column_names
+
+    @pytest.mark.parametrize("columns, classes, field", [
+        ("ab", ["A", "B"], "column_names"),
+        ([1, 2], ["A", "B"], "column_names"),
+        (["a", "b"], ["A", 7], "class_names"),
+        (["a", "b"], "AB", "class_names"),
+        (["a", b"b"], ["A", "B"], "column_names"),
+        (None, ["A", "B"], "column_names"),
+    ])
+    def test_names_must_be_strings(self, columns, classes, field):
+        with pytest.raises(DataError, match=f"{field} must be a list of strings"):
+            Dataset(np.zeros((2, 2)), [0, 1], columns, classes)
 
     def test_duplicate_column_names_rejected(self):
         with pytest.raises(DataError, match=r"duplicate column names \['x'\]"):

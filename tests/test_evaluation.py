@@ -293,7 +293,7 @@ class TestFidelitySphere:
         sphere = fidelity_sphere(features, predicted, 0, 0.95)
         assert (predicted[sphere] == 1).sum() == 5  # all allies are close
 
-    @pytest.mark.parametrize("p", [0.0, 1.0, 1.5, -0.5, math.nan])
+    @pytest.mark.parametrize("p", [0.0, 1.0, 1.5, -0.5, math.nan, "0.5", None])
     def test_p_outside_open_unit_interval_rejected(self, p):
         features = np.random.default_rng(1).standard_normal((200, 2))
         predicted = (features[:, 0] > 0).astype(np.int64)
@@ -455,7 +455,7 @@ class TestRunSetting:
         with pytest.raises(DataError, match="requires binary datasets"):
             run_setting(train, test, "lr")
 
-    @pytest.mark.parametrize("p", [0.0, 1.0, 1.5, math.nan])
+    @pytest.mark.parametrize("p", [0.0, 1.0, 1.5, math.nan, "0.5", None])
     def test_sphere_fraction_outside_open_unit_interval(self, p):
         with pytest.raises(DataError, match="p must lie strictly between 0 and 1"):
             FidelityConfig(p=p)
@@ -490,6 +490,15 @@ class TestRunSetting:
         monkeypatch.setattr(models, "fit_on_standardized", must_not_fit)
         with pytest.raises(DataError, match="differ from the training columns"):
             run_setting(train, test, "lr", ("leafage", "lime", "baseline"))
+
+    def test_test_columns_given_as_a_tuple(self):
+        train, test = train_test_split(generate_artificial(40, seed=0), SplitSpec())
+        renamed = Dataset(test.features, test.labels, ("x1", "x2"), test.class_names)
+        strategies = ("leafage", "baseline")
+        got = run_setting(train, renamed, "lr", strategies)
+        want = run_setting(train, test, "lr", strategies)
+        for a, b in zip(got, want, strict=True):
+            assert a.per_instance_auc.tobytes() == b.per_instance_auc.tobytes()
 
     @pytest.mark.parametrize("classifier", ["lr", "knn"])
     def test_one_fit_per_distinct_closest_enemy(self, monkeypatch, classifier):

@@ -48,6 +48,13 @@ class TestProtocol:
         expected = (rows[:, 0] >= 0).astype(int)
         assert np.array_equal(labels, expected)
 
+    def test_numpy_scalar_options(self, tmp_path):
+        with ExternalModel(
+            stub_command(tmp_path, SIGN_STUB), n_features=np.int64(1),
+            timeout_ms=np.int64(10_000),
+        ) as model:
+            assert model.predict_labels(np.array([[2.0], [-2.0]])).tolist() == [1, 0]
+
     def test_repeated_requests_on_one_handle(self, sign_model):
         for _ in range(5):
             labels = sign_model.predict_labels(np.array([[3.0]]))

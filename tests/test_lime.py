@@ -43,6 +43,11 @@ class TestSampling:
     def test_numpy_integer_n_samples(self):
         assert lime_sample(2, LimeConfig(n_samples=np.int64(40))).shape == (40, 2)
 
+    @pytest.mark.parametrize("seed", [-1, 0.5, True, "0", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(DataError, match="seed must be"):
+            LimeConfig(seed=seed)
+
 
 class TestKernel:
     # On rows of four features the width 0.75 * sqrt(4) is exactly 1.5.
@@ -99,6 +104,15 @@ class TestFit:
     def test_instance_must_be_one_row(self, z):
         with pytest.raises(ExplanationError, match="expected"):
             lime_fit(ConstantModel(1), z, LimeConfig())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_instance_rejected(self, bad):
+        model = FixedLinearModel([1.0, 1.0])
+        with pytest.raises(ExplanationError, match="non-finite"):
+            lime_fit(model, np.array([bad, 0.0]), LimeConfig())
+        bins = QuartileBins.fit(np.random.default_rng(0).normal(size=(40, 2)))
+        with pytest.raises(ExplanationError, match="non-finite"):
+            lime_quartile_fit(model, bins, np.array([bad, 0.0]), LimeConfig())
 
     def test_same_seed_identical_surrogate(self):
         model = FixedLinearModel([0.5, 1.0], 0.2)
