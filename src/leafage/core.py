@@ -179,6 +179,7 @@ def weighted_logistic_fit(
     targets: np.ndarray,
     sample_weight: np.ndarray | None = None,
     l2: float = SURROGATE_L2,
+    start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """Ridge-regularized logistic fit by damped Newton iterations.
 
@@ -187,10 +188,23 @@ def weighted_logistic_fit(
     to decrease the penalized loss, which keeps the solver monotone even
     on separable data where the optimum norm is large.  Single-class
     targets have no finite optimum and fit all zeros.
+
+    Newton starts from ``start``, the weights followed by the intercept,
+    or from zero.  The optimum does not depend on the start, but the step
+    count does: a start near it, such as the solution of a similar fit,
+    saves steps (a warm start), and the result then agrees with the cold
+    fit's to within the step tolerance rather than bit for bit.  A warm
+    fit that ends other than by the step tolerance (the line search
+    fails, or the step cap is reached) is redone from zero.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     n, d = X.shape
+    beta = np.zeros(d + 1) if start is None else np.array(start, dtype=np.float64)
+    if beta.shape != (d + 1,):
+        raise ExplanationError(f"start has shape {beta.shape}, expected ({d + 1},)")
+    if not np.all(np.isfinite(beta)):
+        raise ExplanationError("start has non-finite values")
     if np.unique(y).size < 2:
         return np.zeros(d), 0.0
     sw = np.ones(n) if sample_weight is None else np.asarray(sample_weight, float)
@@ -200,7 +214,6 @@ def weighted_logistic_fit(
     penalty = np.full(d + 1, l2)
     penalty[d] = 0.0
     ridge = np.diag(penalty)
-    beta = np.zeros(d + 1)
     # Every n-length intermediate is written into one of three buffers, and
     # the weighted rows into W, which has the layout of Xa * curvature[:, None]
     # so that W.T @ Xa runs that product's gemm.  Each operation is the one
@@ -208,10 +221,25 @@ def weighted_logistic_fit(
     XaT = np.ascontiguousarray(Xa.T)
     W = np.empty((n, d + 1))
     p, r, c = np.empty(n), np.empty(n), np.empty(n)
+
+    def loss(point: np.ndarray) -> tuple[float, np.ndarray]:
+        """The penalized loss at ``point`` and its linear term Xa @ point.
+        At zero every row's loss is log1p(1), which is log(2) bit for bit."""
+        z = Xa @ point
+        # row loss: max(z, 0) + log1p(exp(-|z|)) - y * z
+        np.abs(z, out=r)
+        np.negative(r, out=r)
+        np.exp(r, out=r)
+        np.log1p(r, out=r)
+        np.maximum(z, 0.0, out=c)
+        np.add(c, r, out=c)
+        np.multiply(y, z, out=r)
+        np.subtract(c, r, out=c)
+        return float(sw @ c + 0.5 * l2 * (point[:d] @ point[:d])), z
+
     # z_lin is the current iterate's linear term, carried over from the
-    # line search.  At beta = 0 every row's loss is log(2), the penalty 0.
-    z_lin = Xa @ beta
-    current = float(sw @ np.full(n, np.log(2.0)))
+    # line search.
+    current, z_lin = loss(beta)
     for _ in range(SURROGATE_MAX_ITER):
         # p = 1 / (1 + exp(-clip(z_lin, -35, 35)))
         np.maximum(z_lin, -35.0, out=p)
@@ -237,17 +265,7 @@ def weighted_logistic_fit(
         scale = 1.0
         for _ in range(30):
             candidate = beta - scale * step
-            z_new = Xa @ candidate
-            # row loss: max(z, 0) + log1p(exp(-|z|)) - y * z
-            np.abs(z_new, out=r)
-            np.negative(r, out=r)
-            np.exp(r, out=r)
-            np.log1p(r, out=r)
-            np.maximum(z_new, 0.0, out=c)
-            np.add(c, r, out=c)
-            np.multiply(y, z_new, out=r)
-            np.subtract(c, r, out=c)
-            new = float(sw @ c + 0.5 * l2 * (candidate[:d] @ candidate[:d]))
+            new, z_new = loss(candidate)
             if new <= current:
                 break
             scale *= 0.5
@@ -256,7 +274,11 @@ def weighted_logistic_fit(
         moved = scale * np.max(np.abs(step))
         beta, z_lin, current = candidate, z_new, new
         if moved < SURROGATE_TOL:
-            break
+            return beta[:d], float(beta[d])
+    if start is not None:
+        # A start far from the optimum can saturate rows, whose curvature
+        # then vanishes, and stall the line search: fit from zero instead.
+        return weighted_logistic_fit(X, y, sample_weight, l2)
     return beta[:d], float(beta[d])
 
 

@@ -48,8 +48,9 @@ class Dataset:
     """An immutable feature matrix with labels and column metadata.
 
     ``features`` is an (n, d) float array, ``labels`` an (n,) array of
-    integer codes into ``class_names``; both names are lists of strings.
-    Arrays are marked read-only so a Dataset can be shared across threads.
+    integer codes into ``class_names``; both names are lists of distinct
+    strings.  Arrays are marked read-only so a Dataset can be shared
+    across threads.
     """
 
     features: np.ndarray
@@ -76,9 +77,10 @@ class Dataset:
             raise DataError("column_names length must match feature columns")
         if features.shape[1] < 1:
             raise DataError("dataset needs at least one feature column")
-        dupes = _duplicates(self.column_names)
-        if dupes:
-            raise DataError(f"duplicate column names {dupes}")
+        for attr in ("column_names", "class_names"):
+            dupes = _duplicates(getattr(self, attr))
+            if dupes:
+                raise DataError(f"duplicate {attr.replace('_', ' ')} {dupes}")
         if not np.all(np.isfinite(features)):
             i, j = np.argwhere(~np.isfinite(features))[0]
             raise DataError(
@@ -312,7 +314,9 @@ def standardized(ds: Dataset, standardizer: Standardizer) -> Dataset:
 
 
 def one_vs_rest(ds: Dataset, positive_class: str) -> Dataset:
-    """Relabel to binary {rest: 0, positive: 1}; features are shared."""
+    """Relabel to binary {rest: 0, positive: 1}; features are shared.  The
+    rest class is named ``rest``, or ``not rest`` when the positive class
+    is itself named ``rest``."""
     positive = str(positive_class)
     if positive not in ds.class_names:
         raise DataError(
@@ -321,7 +325,8 @@ def one_vs_rest(ds: Dataset, positive_class: str) -> Dataset:
         )
     positive_code = ds.class_names.index(positive)
     labels = (ds.labels == positive_code).astype(np.int64)
-    return replace(ds, labels=labels, class_names=["rest", positive])
+    rest = "not rest" if positive == "rest" else "rest"
+    return replace(ds, labels=labels, class_names=[rest, positive])
 
 
 AD_MEAN_A = np.array([0.0, 0.0])

@@ -78,28 +78,36 @@ def kernel_weights(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.exp(-np.einsum("ij,ij->i", diff, diff) / sigma**2)
 
 
-def lime_fit(model, z: np.ndarray, cfg: LimeConfig) -> LocalSurrogate:
+def lime_fit(
+    model, z: np.ndarray, cfg: LimeConfig, start: np.ndarray | None = None
+) -> LocalSurrogate:
     """Kernel-weighted logistic surrogate on black-box-labelled samples.
 
     ``z`` is in standardized space.  Degenerate when the black box labels
-    every sample identically.
+    every sample identically.  ``start`` is the Newton start of
+    :func:`~leafage.core.weighted_logistic_fit`.
     """
     z = check_instance(z, np.size(z))
     samples = lime_sample(z.size, cfg)
-    weights, intercept = _kernel_fit(model, samples, samples, z)
+    weights, intercept = _kernel_fit(model, samples, samples, z, start)
     return LocalSurrogate(weights=weights, intercept=intercept)
 
 
 def _kernel_fit(
-    model, samples: np.ndarray, points: np.ndarray, z_point: np.ndarray
+    model,
+    samples: np.ndarray,
+    points: np.ndarray,
+    z_point: np.ndarray,
+    start: np.ndarray | None,
 ) -> tuple[np.ndarray, float]:
     """Fit on ``points``, the samples in the surrogate's representation,
     against the black box's labels of ``samples``, kernel-weighted around
-    ``z_point``, the instance in that representation."""
+    ``z_point``, the instance in that representation, from ``start``."""
     return weighted_logistic_fit(
         points,
         model.predict_labels(samples),
         sample_weight=kernel_weights(z_point, points),
+        start=start,
     )
 
 
@@ -211,20 +219,25 @@ class QuartileSurrogate(LocalSurrogate):
 
 
 def lime_quartile_fit(
-    model, bins: QuartileBins, z: np.ndarray, cfg: LimeConfig
+    model,
+    bins: QuartileBins,
+    z: np.ndarray,
+    cfg: LimeConfig,
+    start: np.ndarray | None = None,
 ) -> QuartileSurrogate:
     """Quartile-discretized LIME surrogate around standardized ``z``.
 
     Samples come from ``bins``; the kernel measures distance in the binary
     representation, where ``z`` is all ones.  Degenerate when the black
-    box labels every sample identically.
+    box labels every sample identically.  ``start`` is the Newton start of
+    :func:`~leafage.core.weighted_logistic_fit`.
     """
     z = check_instance(z, bins.d)
     cfg.check_n_samples(bins.d)
     codes, samples = bins.sample(cfg.n_samples, np.random.default_rng(cfg.seed))
     z_codes = bins.encode(z[None, :])[0]
     binary = (codes == z_codes).astype(np.float64)
-    weights, intercept = _kernel_fit(model, samples, binary, np.ones(bins.d))
+    weights, intercept = _kernel_fit(model, samples, binary, np.ones(bins.d), start)
     return QuartileSurrogate(
         weights=weights, intercept=intercept, bins=bins, z_codes=z_codes
     )

@@ -177,6 +177,19 @@ class TestLocalFit:
         assert c == 0.0
         assert LocalSurrogate(weights=w, intercept=c).degenerate
 
+    @pytest.mark.parametrize("start, message", [
+        ([np.nan, 0.0, 0.0], "non-finite"),
+        ([0.0, np.inf, 0.0], "non-finite"),
+        ([0.0, 0.0], r"shape \(2,\), expected \(3,\)"),
+        ([[0.0, 0.0, 0.0]], r"shape \(1, 3\), expected \(3,\)"),
+    ])
+    def test_bad_start_rejected(self, start, message):
+        # Without the check, a NaN start returns a NaN surrogate.
+        X = np.random.default_rng(7).normal(size=(20, 2))
+        y = (X[:, 0] > 0).astype(float)
+        with pytest.raises(ExplanationError, match=message):
+            weighted_logistic_fit(X, y, start=start)
+
 
 def random_two_class(seed, weighted):
     """Noisy logistic labels on 4-79 rows of 1-4 unevenly scaled features."""

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -260,6 +261,12 @@ class TestOneVsRest:
         with pytest.raises(DataError, match="unknown positive class"):
             one_vs_rest(self.three_class(), "nope")
 
+    def test_positive_class_named_rest(self):
+        ds = replace(self.three_class(), class_names=["c0", "rest", "c2"])
+        binary = one_vs_rest(ds, "rest")
+        assert binary.class_names == ["not rest", "rest"]
+        assert np.array_equal(binary.labels == 1, ds.labels == 1)
+
     def test_features_bit_for_bit(self):
         ds = self.three_class()
         binary = one_vs_rest(ds, "c2")
@@ -414,6 +421,11 @@ class TestDatasetInvariants:
     def test_duplicate_column_names_rejected(self):
         with pytest.raises(DataError, match=r"duplicate column names \['x'\]"):
             Dataset(np.zeros((2, 3)), [0, 1], ["x", "y", "x"], ["A", "B"])
+
+    def test_duplicate_class_names_rejected(self):
+        # one_vs_rest(ds, "A") would put the second "A" into rest.
+        with pytest.raises(DataError, match=r"duplicate class names \['A'\]"):
+            Dataset(np.zeros((3, 1)), [0, 1, 2], ["v"], ["A", "A", "B"])
 
     def test_nonfinite_rejected(self):
         bad = np.array([[1.0, np.inf], [0.0, 1.0]])

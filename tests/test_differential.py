@@ -5,10 +5,14 @@ against frozen references.
 ``explain`` measures the instance's distances to the training rows once;
 both must give the bits of the plain formulas kept here: the Newton
 kernel as whole-array expressions, and each geometry step with its own
-distance pass over the rows it reads.  ``run_setting`` fits one surrogate
-per distinct closest enemy, records ``baseline`` as 0.5 and counts AUC
-pairs by binary search; it must give the bits of the per-instance loop
-kept here, which refits every instance and ranks every AUC.
+distance pass over the rows it reads.  A fit started from another fit's
+solution must land within 1e-6 * max(1, max|beta|) of the fit from zero
+and, where it stalls, give that fit's bits.  ``run_setting`` fits one
+surrogate per distinct closest enemy, records ``baseline`` as 0.5, starts
+each LIME fit after a strategy's first from that first solution, and
+counts AUC pairs by binary search; the per-instance loop kept here refits
+every instance from zero and ranks every AUC, and ``run_setting``'s AUCs
+must still equal its bit for bit.
 """
 import dataclasses
 import os
@@ -159,6 +163,53 @@ class TestLogisticKernel:
         weighted_logistic_fit(X, y, sw, l2)
         assert singular
         assert_same_fit(X, y, sw, l2)
+
+
+KINDS = ["separable", "overlapping", "single"]
+
+
+class TestWarmStart:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 60),
+        st.integers(1, 5),
+        st.sampled_from(KINDS),
+        st.sampled_from(KINDS),
+        st.booleans(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_warm_fit_lands_on_cold_fit(
+        self, seed, start_seed, n, d, kind, start_kind, weighted
+    ):
+        def draw(draw_seed, draw_kind):
+            rng = np.random.default_rng(draw_seed)
+            X = rng.normal(size=(n, d))
+            y = draw_targets(rng, X, draw_kind)
+            return X, y, rng.uniform(0.05, 2.0, n) if weighted else None
+
+        X, y, sw = draw(seed, kind)
+        start = np.append(*weighted_logistic_fit(*draw(start_seed, start_kind)))
+        cold = np.append(*weighted_logistic_fit(X, y, sw))
+        warm = np.append(*weighted_logistic_fit(X, y, sw, start=start))
+        assert np.max(np.abs(warm - cold)) <= 1e-6 * max(1.0, np.max(np.abs(cold)))
+
+    def test_stalled_warm_fit_refits_from_zero(self, monkeypatch):
+        # From this start every row saturates, and the line search stalls.
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(40, 1))
+        y = draw_targets(rng, X, "overlapping")
+        refits = []
+
+        def spy(*args, **kwargs):
+            refits.append(kwargs.get("start"))
+            return weighted_logistic_fit(*args, **kwargs)
+
+        monkeypatch.setattr(leafage.core, "weighted_logistic_fit", spy)
+        warm = weighted_logistic_fit(X, y, start=[-1e4, 0.0])
+        assert refits == [None]
+        cold = reference_logistic_fit(X, y)
+        assert np.append(*warm).tobytes() == np.append(*cold).tobytes()
 
 
 def reference_euclidean(rows, point):

@@ -392,6 +392,35 @@ class TestRunSetting:
             lime_alone.per_instance_auc, everything[1].per_instance_auc, equal_nan=True
         )
 
+    def test_lime_fits_start_from_the_strategys_first_solution(self, monkeypatch):
+        ds = generate_artificial(40, seed=4)
+        train, test = train_test_split(ds, SplitSpec(seed=4))
+        calls = {"lime": [], "lime-quartile": []}
+
+        def spy(strategy, fit):
+            def recorded(*args):
+                surrogate = fit(*args)
+                calls[strategy].append((args[-1], surrogate))
+                return surrogate
+            return recorded
+
+        monkeypatch.setattr(evaluation, "lime_fit", spy("lime", evaluation.lime_fit))
+        monkeypatch.setattr(
+            evaluation,
+            "lime_quartile_fit",
+            spy("lime-quartile", evaluation.lime_quartile_fit),
+        )
+        run_setting(
+            train, test, "lr", ("lime", "lime-quartile"),
+            lime_cfg=LimeConfig(n_samples=500),
+        )
+        for fits in calls.values():
+            (first_start, first), *later = fits
+            assert first_start is None and later
+            solution = np.append(first.weights, first.intercept)
+            for start, _ in later:
+                assert np.array_equal(start, solution)
+
     def test_no_training_enemy_skips_every_strategy(self, monkeypatch):
         # Every training row lies left of x1 = 3, where the model says 0,
         # so test rows predicted 0 have no closest enemy among them; only

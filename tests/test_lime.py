@@ -114,6 +114,15 @@ class TestFit:
         with pytest.raises(ExplanationError, match="non-finite"):
             lime_quartile_fit(model, bins, np.array([bad, 0.0]), LimeConfig())
 
+    def test_start_reaches_the_solver(self):
+        model = FixedLinearModel([1.0, 1.0])
+        z, cfg, start = np.array([0.2, 0.0]), LimeConfig(), [0.0, math.nan, 0.0]
+        with pytest.raises(ExplanationError, match="start has non-finite"):
+            lime_fit(model, z, cfg, start)
+        bins = QuartileBins.fit(np.random.default_rng(0).normal(size=(40, 2)))
+        with pytest.raises(ExplanationError, match="start has non-finite"):
+            lime_quartile_fit(model, bins, z, cfg, start)
+
     def test_same_seed_identical_surrogate(self):
         model = FixedLinearModel([0.5, 1.0], 0.2)
         a = lime_fit(model, np.array([0.1, 0.1]), LimeConfig(seed=9))
