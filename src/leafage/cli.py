@@ -73,14 +73,6 @@ def _resolve_seed(value: int | None) -> int:
         raise DataError(f"LEAFAGE_SEED {exc}") from None
 
 
-def _load_dataset(
-    token: str, label_column: str, n_per_class: int, seed: int
-) -> Dataset:
-    if token == "ad":
-        return generate_artificial(n_per_class, seed)
-    return load_csv(token, label_column)
-
-
 def _comma_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
@@ -135,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("explain", help="explain one prediction")
     exp.add_argument("--train", required=True, help="training CSV path or 'ad'")
     exp.add_argument("--label-column", default="label")
-    exp.add_argument("--model", choices=models.CANONICAL_ALGORITHMS, default="rf")
+    exp.add_argument("--model", choices=models.ALGORITHMS, default="rf")
     exp.add_argument(
         "--instance",
         required=True,
@@ -157,8 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--label-column", default="label")
     ev.add_argument(
         "--classifiers",
-        default=",".join(models.CANONICAL_ALGORITHMS),
-        help="comma-separated subset of " + ",".join(models.CANONICAL_ALGORITHMS),
+        default=",".join(models.ALGORITHMS),
+        help="comma-separated subset of " + ",".join(models.ALGORITHMS),
     )
     ev.add_argument(
         "--strategies",
@@ -226,7 +218,10 @@ def cmd_explain(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     )
     seed = _resolve_seed(args.seed)
     cfg = LeafageConfig(i_small=args.i_small, k_examples=args.k)
-    ds = _load_dataset(args.train, args.label_column, args.n_per_class, seed)
+    if args.train == "ad":
+        ds = generate_artificial(args.n_per_class, seed)
+    else:
+        ds = load_csv(args.train, args.label_column)
     z = _parse_instance(parser, ds, args.instance)
     model = models.fit_on_standardized(args.model, ds, seed=seed)
     explanation = explain(model.model, ds, z, cfg, standardizer=model.standardizer)
@@ -271,7 +266,7 @@ def cmd_evaluate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     if unknown:
         raise ModelError(
             f"unknown classifier {unknown[0]!r}; "
-            f"choose from {models.CANONICAL_ALGORITHMS}"
+            f"choose from {tuple(models.ALGORITHMS)}"
         )
     check_fraction("alpha", args.alpha)
     leafage_cfg = LeafageConfig(i_small=args.i_small)

@@ -106,9 +106,10 @@ class Explanation:
 
 
 def check_instance(z, d: int) -> np.ndarray:
-    """``z`` as a float64 array of shape ``(d,)``; ExplanationError on any
-    other shape or on a non-finite value."""
-    z = np.asarray(z, dtype=np.float64)
+    """A new float64 array of ``z``'s values, of shape ``(d,)``;
+    ExplanationError on any other shape or on a non-finite value.  The copy
+    keeps a later write to the caller's array out of an explanation."""
+    z = np.array(z, dtype=np.float64)
     if z.shape != (d,):
         raise ExplanationError(f"instance has shape {z.shape}, expected ({d},)")
     if not np.all(np.isfinite(z)):
@@ -186,8 +187,10 @@ def weighted_logistic_fit(
     Minimizes the weighted summed logistic loss plus 0.5 * l2 * ||w||^2;
     the intercept is unpenalized.  Backtracking halves any step that fails
     to decrease the penalized loss, which keeps the solver monotone even
-    on separable data where the optimum norm is large.  Single-class
-    targets have no finite optimum and fit all zeros.
+    on separable data where the optimum norm is large.  When 30 halvings
+    of a cold fit's step cannot lower the loss, the fit ends where it is:
+    the loss is then at its floating-point minimum, with a gradient near
+    zero.  Single-class targets have no finite optimum and fit all zeros.
 
     Newton starts from ``start``, the weights followed by the intercept,
     or from zero.  The optimum does not depend on the start, but the step

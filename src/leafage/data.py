@@ -109,9 +109,6 @@ class Dataset:
     def d(self) -> int:
         return self.features.shape[1]
 
-    def class_counts(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=len(self.class_names))
-
 
 @dataclass(frozen=True)
 class Standardizer:

@@ -136,7 +136,6 @@ class WilcoxonResult:
 
     statistic: float
     p_value: float | None
-    n_nonzero: int
     method: str = ""
 
     @property
@@ -197,9 +196,7 @@ def wilcoxon_signed_rank(a: np.ndarray, b: np.ndarray) -> WilcoxonResult:
     diff = diff[diff != 0.0]
     n = diff.size
     if n < 6:
-        return WilcoxonResult(
-            statistic=math.nan, p_value=None, n_nonzero=n, method="inconclusive"
-        )
+        return WilcoxonResult(statistic=math.nan, p_value=None, method="inconclusive")
     ranks = _rank_average(np.abs(diff))
     stat = float(ranks[diff > 0].sum())
     if n <= WILCOXON_EXACT_LIMIT:
@@ -208,7 +205,7 @@ def wilcoxon_signed_rank(a: np.ndarray, b: np.ndarray) -> WilcoxonResult:
     else:
         p = _normal_signed_rank_p(ranks, stat)
         method = "normal"
-    return WilcoxonResult(statistic=stat, p_value=p, n_nonzero=n, method=method)
+    return WilcoxonResult(statistic=stat, p_value=p, method=method)
 
 
 def fidelity_sphere(

@@ -33,7 +33,6 @@ __all__ = [
     "fit_on_standardized",
     "StandardizedModel",
     "ALGORITHMS",
-    "CANONICAL_ALGORITHMS",
 ]
 
 ALGORITHMS = {
@@ -48,8 +47,6 @@ ALGORITHMS = {
     )
 }
 
-CANONICAL_ALGORITHMS = tuple(ALGORITHMS)
-
 
 def fit(
     algorithm: str,
@@ -63,7 +60,7 @@ def fit(
     """
     if algorithm not in ALGORITHMS:
         raise ModelError(
-            f"unknown algorithm {algorithm!r}; choose from {CANONICAL_ALGORITHMS}"
+            f"unknown algorithm {algorithm!r}; choose from {tuple(ALGORITHMS)}"
         )
     if hyperparams:
         raise ModelError(

@@ -76,7 +76,7 @@ def test_every_binding_is_called(tracing, tmp_path):
         summaries = evaluation.run_setting(
             train, test, "rf", evaluation.KNOWN_STRATEGIES, lime_cfg=lime_cfg
         )
-        for classifier in models.CANONICAL_ALGORITHMS:
+        for classifier in models.ALGORITHMS:
             if classifier != "rf":
                 summaries += evaluation.run_setting(
                     train, test, classifier, ("baseline",)

@@ -164,6 +164,18 @@ class TestExplain:
         assert code == 5
         assert not out.exists()
 
+    def test_unknown_model_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            run(["explain", "--train", "ad", "--model", "quantum",
+                 "--instance", 1, "--out", out])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "argument --model: invalid choice: 'quantum' "
+            "(choose from 'lr', 'svm', 'lda', 'dt', 'rf', 'knn')\n"
+        )
+        assert not out.exists()
+
     def test_negative_seed_usage_error(self, tmp_path):
         out = tmp_path / "report.json"
         with pytest.raises(SystemExit) as exc:
@@ -317,11 +329,15 @@ class TestEvaluate:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 13  # header + 6 classifiers x 2 strategies
 
-    def test_unknown_classifier_exit_4(self, tmp_path):
+    def test_unknown_classifier_exit_4(self, tmp_path, capsys):
         code = run(["evaluate", "--datasets", "ad", "--n-per-class", 20,
                     "--classifiers", "quantum", "--strategies", "baseline",
                     "--seed", 0, "--out", tmp_path / "r.csv"])
         assert code == 4
+        assert capsys.readouterr().err == (
+            "leafage: model error: unknown classifier 'quantum'; "
+            "choose from ('lr', 'svm', 'lda', 'dt', 'rf', 'knn')\n"
+        )
 
     def test_table_to_stdout(self, tmp_path, capsys):
         run(["evaluate", "--datasets", "ad", "--n-per-class", 30,

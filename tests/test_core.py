@@ -248,6 +248,15 @@ def check_matches_scipy_minimize(X, y, sw, weighted):
     assert np.allclose(np.append(w, b), reference.x, rtol=0, atol=1e-5 * scale)
 
 
+# The smallest draw found whose cold fit ends because 30 halvings of a
+# Newton step cannot lower the loss; no other fixed case reaches that exit.
+LINE_SEARCH_EXIT = (
+    np.array([[-0.0], [-3.0], [2.0], [-1.0]]),
+    np.array([1.0, 0.0, 1.0, 1.0]),
+    np.ones(4),
+)
+
+
 class TestSolverOptimum:
     @given(st.integers(min_value=0, max_value=10_000), st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -258,6 +267,12 @@ class TestSolverOptimum:
         for seed in range(40):
             weighted = seed % 2 == 1
             check_matches_scipy_minimize(*random_two_class(seed, weighted), weighted)
+
+    def test_line_search_exit_gradient_vanishes(self):
+        check_gradient_vanishes(*LINE_SEARCH_EXIT, weighted=False)
+
+    def test_line_search_exit_matches_scipy_minimize(self):
+        check_matches_scipy_minimize(*LINE_SEARCH_EXIT, weighted=False)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_lime_size_gradient_vanishes(self, seed):
@@ -519,6 +534,15 @@ class TestExplain:
             assert model.predict_labels(sc.transform(ally.features[None, :]))[0] == c_z
         for enemy in e.enemies:
             assert model.predict_labels(sc.transform(enemy.features[None, :]))[0] != c_z
+
+    def test_explanation_owns_its_instance(self):
+        ds, sc = self.standardized_ad(seed=2)
+        z = ds.features[7].copy()
+        e = explain(FixedLinearModel([0.3, 1.0], -0.2), ds, z, standardizer=sc)
+        assert not np.shares_memory(e.test_instance, z)
+        before = e.test_instance.copy()
+        z[0] = 99.0
+        assert np.array_equal(e.test_instance, before)
 
     def test_deterministic(self):
         ds, sc = self.standardized_ad(seed=3)

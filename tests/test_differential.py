@@ -401,7 +401,7 @@ def reference_run_setting(train, test, classifier, leafage_cfg, lime_cfg, p):
     return scores
 
 
-@pytest.mark.parametrize("classifier", models.CANONICAL_ALGORITHMS)
+@pytest.mark.parametrize("classifier", models.ALGORITHMS)
 def test_run_setting_equals_per_instance_refits(classifier):
     ds = generate_artificial(40, 5)
     train, test = train_test_split(ds, SplitSpec(seed=5))

@@ -22,7 +22,7 @@ import pytest
 from conftest import __cpu_dispatch__, __cpu_features__
 import leafage
 from leafage.cli import main
-from leafage.models import CANONICAL_ALGORITHMS
+from leafage.models import ALGORITHMS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -106,7 +106,7 @@ def test_evaluate_default_protocol_without_avx512(tmp_path, mode):
     assert table.read_bytes() == (GOLDEN_DIR / "evaluate_ad_seed0.txt").read_bytes()
 
 
-@pytest.mark.parametrize("model", CANONICAL_ALGORITHMS)
+@pytest.mark.parametrize("model", ALGORITHMS)
 def test_explain_report(tmp_path, model):
     out = tmp_path / "report.json"
     code = main(
@@ -163,20 +163,20 @@ def kernel_mode_reports(tmp_path_factory):
                 "    assert main(argv) == 0, model\n"
             )
             run = subprocess.run(
-                [sys.executable, "-c", script, str(out), *CANONICAL_ALGORITHMS],
+                [sys.executable, "-c", script, str(out), *ALGORITHMS],
                 env=env, capture_output=True, text=True, timeout=600,
             )
             assert run.returncode == 0, run.stderr
             cache[mode] = {
                 model: json.loads((out / f"explain_{model}.json").read_text())
-                for model in CANONICAL_ALGORITHMS
+                for model in ALGORITHMS
             }
         return cache[mode]
 
     return reports
 
 
-@pytest.mark.parametrize("model", CANONICAL_ALGORITHMS)
+@pytest.mark.parametrize("model", ALGORITHMS)
 @pytest.mark.parametrize("mode", KERNEL_MODES)
 def test_explain_report_across_kernels(kernel_mode_reports, mode, model):
     # The explain bytes hold on one machine only: the surrogate's floats

@@ -517,13 +517,17 @@ class TestKNNGramForm:
 
 class TestFitFactory:
     def test_algorithms_in_canonical_order(self):
-        assert models.CANONICAL_ALGORITHMS == ("lr", "svm", "lda", "dt", "rf", "knn")
+        assert tuple(models.ALGORITHMS) == ("lr", "svm", "lda", "dt", "rf", "knn")
         assert all(cls.descriptor == name for name, cls in models.ALGORITHMS.items())
 
     def test_unknown_algorithm(self):
         ds = generate_artificial(10, seed=0)
-        with pytest.raises(ModelError, match="unknown algorithm"):
+        with pytest.raises(ModelError) as exc:
             fit("mystery", ds)
+        assert str(exc.value) == (
+            "unknown algorithm 'mystery'; "
+            "choose from ('lr', 'svm', 'lda', 'dt', 'rf', 'knn')"
+        )
 
     def test_single_class_rejected(self):
         X = np.zeros((5, 2))
@@ -532,7 +536,7 @@ class TestFitFactory:
         with pytest.raises(ModelError, match="single class"):
             fit("lr", ds)
 
-    @pytest.mark.parametrize("algorithm", models.CANONICAL_ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", models.ALGORITHMS)
     def test_three_class_labels_rejected(self, algorithm):
         X = np.random.default_rng(0).normal(size=(30, 2))
         y = np.arange(30) % 3
@@ -540,7 +544,7 @@ class TestFitFactory:
         with pytest.raises(ModelError, match="one-vs-rest"):
             fit(algorithm, ds)
 
-    @pytest.mark.parametrize("algorithm", models.CANONICAL_ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", models.ALGORITHMS)
     @pytest.mark.parametrize("features, labels, message", [
         ([[0.0], [1.0], [np.nan], [3.0]], [0, 1, 0, 1], "finite"),
         ([[0.0], [np.inf], [2.0], [3.0]], [0, 1, 0, 1], "finite"),
@@ -561,7 +565,7 @@ class TestFitFactory:
         with pytest.raises(ModelError, match="bad hyperparameters"):
             fit("rf", ds, {"n_legs": 4})
 
-    @pytest.mark.parametrize("algorithm", models.CANONICAL_ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", models.ALGORITHMS)
     def test_all_algorithms_beat_majority_on_holdout(self, algorithm):
         X, y = separable_blobs(n_per_class=80, seed=4)
         ds = as_dataset(X, y)
@@ -592,7 +596,7 @@ def seed_test_data():
 class TestPredictContract:
     def test_empty_batch(self):
         ds = generate_artificial(10, seed=0)
-        for algorithm in models.CANONICAL_ALGORITHMS:
+        for algorithm in models.ALGORITHMS:
             model = fit(algorithm, ds)
             out = model.predict_labels(np.empty((0, 2)))
             assert out.shape == (0,), algorithm
@@ -611,7 +615,7 @@ class TestPredictContract:
                      + [[3, 3], [3, 0], [3, 0]] + [[0, 0]] * 4 + [[3, 3]], dtype=float)
         y = np.array([0, 1] + [0] * 8 + [1] * 8)
         queries = np.vstack([generate_artificial(20, 1).features, np.full((3, 2), 3.0)])
-        for algorithm in models.CANONICAL_ALGORITHMS:
+        for algorithm in models.ALGORITHMS:
             model = models.ALGORITHMS[algorithm]().fit(X, y)
             assert np.array_equal(
                 model.predict_labels(np.asfortranarray(queries)),
@@ -653,7 +657,7 @@ class TestPredictContract:
         with pytest.raises(ModelError, match="expected a 2-d batch of rows"):
             model.predict_labels(np.zeros(2))
 
-    @pytest.mark.parametrize("algorithm", models.CANONICAL_ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", models.ALGORITHMS)
     @pytest.mark.parametrize("d", [2, 0])
     def test_unfitted_model(self, algorithm, d):
         model = models.ALGORITHMS[algorithm]()
@@ -666,7 +670,7 @@ def memo_cases(draw):
     """One of the six algorithms on 2-30 rows of d = 1-4 features drawn from
     a few values with both signed zeros among them, some rows repeated; and
     one cell of the training matrix to perturb."""
-    algorithm = draw(st.sampled_from(models.CANONICAL_ALGORITHMS))
+    algorithm = draw(st.sampled_from(tuple(models.ALGORITHMS)))
     d = draw(st.integers(1, 4))
     n = draw(st.integers(2, 30))
     values = draw(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=5))
@@ -712,7 +716,7 @@ class TestTrainingLabels:
         refit = models.ALGORITHMS[algorithm]().fit(X, 1 - y, seed=seed)
         assert np.array_equal(model.predict_labels(X), refit._predict(X))
 
-    @pytest.mark.parametrize("algorithm", models.CANONICAL_ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", models.ALGORITHMS)
     def test_mutating_the_training_arrays_after_fit(self, algorithm):
         ds = generate_artificial(40, seed=2)
         X, y = ds.features.copy(), ds.labels.astype(np.int64)
