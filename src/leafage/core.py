@@ -190,7 +190,8 @@ def weighted_logistic_fit(
     on separable data where the optimum norm is large.  When 30 halvings
     of a cold fit's step cannot lower the loss, the fit ends where it is:
     the loss is then at its floating-point minimum, with a gradient near
-    zero.  Single-class targets have no finite optimum and fit all zeros.
+    zero.  Single-class targets have no finite optimum and, like no rows,
+    fit all zeros.
 
     Newton starts from ``start``, the weights followed by the intercept,
     or from zero.  The optimum does not depend on the start, but the step
@@ -208,7 +209,7 @@ def weighted_logistic_fit(
         raise ExplanationError(f"start has shape {beta.shape}, expected ({d + 1},)")
     if not np.all(np.isfinite(beta)):
         raise ExplanationError("start has non-finite values")
-    if np.unique(y).size < 2:
+    if n == 0 or y.min() == y.max():
         return np.zeros(d), 0.0
     sw = np.ones(n) if sample_weight is None else np.asarray(sample_weight, float)
     Xa = np.empty((n, d + 1))

@@ -49,8 +49,8 @@ class Dataset:
 
     ``features`` is an (n, d) float array, ``labels`` an (n,) array of
     integer codes into ``class_names``; both names are lists of distinct
-    strings.  Arrays are marked read-only so a Dataset can be shared
-    across threads.
+    strings.  Both arrays are the Dataset's own copies, marked read-only
+    so a Dataset can be shared across threads.
     """
 
     features: np.ndarray
@@ -62,8 +62,10 @@ class Dataset:
     def __post_init__(self) -> None:
         for attr in ("column_names", "class_names"):
             object.__setattr__(self, attr, _name_list(attr, getattr(self, attr)))
-        features = np.ascontiguousarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels)
+        # Own copies: a later write to the caller's arrays cannot reach a
+        # validated Dataset.
+        features = np.array(self.features, dtype=np.float64, order="C")
+        labels = np.array(self.labels)
         if features.ndim != 2:
             raise DataError("feature matrix must be two-dimensional")
         if labels.ndim != 1:
@@ -311,9 +313,9 @@ def standardized(ds: Dataset, standardizer: Standardizer) -> Dataset:
 
 
 def one_vs_rest(ds: Dataset, positive_class: str) -> Dataset:
-    """Relabel to binary {rest: 0, positive: 1}; features are shared.  The
-    rest class is named ``rest``, or ``not rest`` when the positive class
-    is itself named ``rest``."""
+    """Relabel to binary {rest: 0, positive: 1}; the features are copied
+    unchanged.  The rest class is named ``rest``, or ``not rest`` when the
+    positive class is itself named ``rest``."""
     positive = str(positive_class)
     if positive not in ds.class_names:
         raise DataError(

@@ -1,4 +1,10 @@
-"""1-nearest-neighbour classifier (Euclidean, lowest-index tie break)."""
+"""1-nearest-neighbour classifier (Euclidean, lowest-index tie break).
+
+A batch is screened block by block with the Gram form ||t||^2 - 2 x.t,
+one matrix product per block: each query row, extended by a 1, times the
+factor matrix [-2 t^T; ||t||^2].  Rows whose nearest training row is not
+clear of the rounding band are re-decided by the exact difference form.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -38,31 +44,43 @@ class KNearestModel(TrainedModel):
         n_train, d = train.shape
         # Computed per call rather than kept from fit: O(n d), small next
         # to the O(m n d) Gram product.
-        train_sq = np.einsum("ij,ij->i", train, train)
-        minus_2t = -2.0 * train
-        train_sq_max = train_sq.max()
+        factor = np.empty((d + 1, n_train))
+        np.multiply(train.T, -2.0, out=factor[:d])
+        factor[d] = np.einsum("ij,ij->i", train, train)
+        train_sq_max = factor[d].max()
         block_rows = max(1, BLOCK_ELEMENTS // n_train)
         exact_rows = max(1, BLOCK_ELEMENTS // (n_train * d))
+        # The extended query rows and the Gram values of one block; a short
+        # last block uses their leading rows.
+        buffer_rows = min(block_rows, rows.shape[0])
+        extended = np.ones((buffer_rows, d + 1))
+        gram_buffer = np.empty((buffer_rows, n_train))
         out = np.empty(rows.shape[0], dtype=np.int64)
         for start in range(0, rows.shape[0], block_rows):
             block = rows[start : start + block_rows]
+            m = block.shape[0]
+            at = np.arange(m)
+            extended[:m, :d] = block
+            gram = gram_buffer[:m]
             # A non-finite or overflowing row has a non-finite band and
             # takes the exact path, so its Gram-form warnings are noise.
             with np.errstate(invalid="ignore", over="ignore"):
-                gram = block @ minus_2t.T
-                gram += train_sq
+                np.matmul(extended[:m], factor, out=gram)
                 nearest = np.argmin(gram, axis=1)
-                band = np.take_along_axis(gram, nearest[:, None], axis=1)[:, 0]
-                # Each form's rounding error is below 2 (d + 2) 2**-53 times
-                # S = ||x||^2 + max ||t||^2.  The exact nearest row lies
-                # within four such errors of the Gram minimum, inside a band
-                # of 1e-9 S for any d below ~10**6; a row whose band holds
-                # one training row cannot change label.
+                band = gram[at, nearest]
+                # The product is a dot product of length d + 1 whose terms
+                # total at most 2 S in magnitude, S = ||x||^2 + max ||t||^2,
+                # one of them the rounded ||t||^2: its rounding error is at
+                # most 4 (d + 1) 2**-53 S, and the difference form's is
+                # below 2 (d + 2) 2**-53 S.  The exact nearest row lies
+                # within twice their sum of the Gram minimum, inside a band
+                # of 1e-9 S for any d below 7 * 10**5; a row whose band
+                # holds one training row cannot change label.
                 band += 1e-9 * (np.einsum("ij,ij->i", block, block) + train_sq_max)
-                # Another row lies in the band exactly when the minimum
-                # without the nearest one does.
-                gram[np.arange(block.shape[0]), nearest] = np.inf
-                recheck = gram.min(axis=1) <= band
+                # Another row lies in the band exactly when the nearest row
+                # without the first one does.
+                gram[at, nearest] = np.inf
+                recheck = gram[at, np.argmin(gram, axis=1)] <= band
             recheck |= ~np.isfinite(band)
             redo = np.flatnonzero(recheck)
             for first in range(0, redo.size, exact_rows):
@@ -70,5 +88,5 @@ class KNearestModel(TrainedModel):
                 diff = block[idx, None, :] - train[None, :, :]
                 dist2 = np.einsum("ijk,ijk->ij", diff, diff)
                 nearest[idx] = np.argmin(dist2, axis=1)
-            out[start : start + block.shape[0]] = self._labels[nearest]
+            out[start : start + m] = self._labels[nearest]
         return out

@@ -13,13 +13,14 @@ space into cells, and each cell lies inside exactly one leaf of every
 tree, so the forest's score is constant over it.  ``fit`` paints each
 leaf's probability over its box of cells, tree by tree in the order the
 traversal sums them, then divides by the number of trees: every cell
-holds exactly the traversal's score.  A row then costs one binary search
-per split feature and one gather, which keeps the fidelity experiments
-(thousands of predicted rows per explained instance) fast.  A forest
-whose grid would exceed ``GRID_MAX_CELLS`` cells skips the table and
-routes whole batches through the node arrays instead, level by level; a
-single row walks each tree node to node.  That traversal is also the
-reference the grid is tested against.
+holds exactly the traversal's score.  A batch then costs one gather, and
+per split feature one branch-free binary search over all its values at
+once, which keeps the fidelity experiments (thousands of predicted rows
+per explained instance) fast.  A forest whose grid would exceed
+``GRID_MAX_CELLS`` cells skips the table and routes whole batches through
+the node arrays instead, level by level; a single row walks each tree
+node to node.  That traversal is also the reference the grid is tested
+against.
 """
 from __future__ import annotations
 
@@ -197,6 +198,34 @@ def _paint(
         stack.append((right[node], lo[:a] + (k,) + lo[a + 1 :], hi))
 
 
+def _padded(edges: np.ndarray) -> np.ndarray:
+    """``edges`` followed by +inf up to the least power of two above their
+    count."""
+    padded = np.full(1 << edges.size.bit_length(), np.inf)
+    padded[: edges.size] = edges
+    return padded
+
+
+def _cells(padded: np.ndarray, size: int, values: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(edges, values, side="right")`` for the ``size``
+    sorted edges ``padded`` starts with, as one binary search over all
+    values at once: each halving step moves every position by a multiply,
+    not a branch.
+
+    ``pos`` ends as the count of the first ``padded.size - 1`` entries at
+    or below the value, which is the answer except for +inf, which also
+    counts the padding, and NaN, which compares false with every entry.
+    """
+    pos = np.zeros(values.size, dtype=np.intp)
+    step = padded.size // 2
+    while step:
+        pos += step * (padded[pos + (step - 1)] <= values)
+        step //= 2
+    np.minimum(pos, size, out=pos)
+    pos[np.isnan(values)] = size
+    return pos
+
+
 class RandomForestModel(TrainedModel):
     """Ensemble of 10 Gini trees, each on a bootstrap sample with sqrt(d)
     candidate features per split."""
@@ -207,9 +236,10 @@ class RandomForestModel(TrainedModel):
     randomized = True
 
     _trees: tuple[_Tree, ...] = ()
-    # The threshold grid as (edges, flat table of scores); None when it
-    # would exceed GRID_MAX_CELLS cells.
-    _grid: tuple[tuple[tuple[int, np.ndarray], ...], np.ndarray] | None = None
+    # The threshold grid as ((feature, edge count, padded edges) per split
+    # feature, flat table of scores); None when it would exceed
+    # GRID_MAX_CELLS cells.
+    _grid: tuple[tuple[tuple[int, int, np.ndarray], ...], np.ndarray] | None = None
 
     def _train(self, X: np.ndarray, y: np.ndarray, seed: int) -> None:
         n, d = X.shape
@@ -229,19 +259,20 @@ class RandomForestModel(TrainedModel):
             for tree in trees:
                 _paint(tree, table, edges)
             table /= len(trees)
-            self._grid = edges, table.ravel()
+            searches = tuple((f, e.size, _padded(e)) for f, e in edges)
+            self._grid = searches, table.ravel()
 
     def _scores(self, rows: np.ndarray) -> np.ndarray:
         """The forest's mean leaf probability of each row of a checked batch."""
         if self._grid is None:
             return self._traverse(rows)
-        grid_edges, table = self._grid
+        searches, table = self._grid
         # NaN and +inf land past every threshold and -inf before them, so
         # they go right and left at every node, as ``x < t`` sends them.
         cell = np.zeros(rows.shape[0], dtype=np.intp)
-        for f, edges in grid_edges:
-            cell *= edges.size + 1
-            cell += np.searchsorted(edges, rows[:, f], side="right")
+        for f, size, padded in searches:
+            cell *= size + 1
+            cell += _cells(padded, size, rows[:, f])
         return table[cell]
 
     def _traverse(self, rows: np.ndarray) -> np.ndarray:

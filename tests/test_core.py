@@ -165,14 +165,16 @@ class TestLocalFit:
         cos = w @ true_w / (np.linalg.norm(w) * np.linalg.norm(true_w))
         assert cos > 0.98
 
+    @pytest.mark.parametrize("n", [20, 0])
     @pytest.mark.parametrize("label", [0.0, 1.0])
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_single_class_targets_fit_zeros(self, label, weighted):
+    def test_single_class_targets_fit_zeros(self, label, weighted, n):
         # No finite optimum exists, so the fit is all zeros rather than an
-        # intercept driven as far as the iteration cap allows.
-        X = np.random.default_rng(7).normal(size=(20, 3))
-        sw = np.linspace(0.1, 1.0, 20) if weighted else None
-        w, c = weighted_logistic_fit(X, np.full(20, label), sample_weight=sw)
+        # intercept driven as far as the iteration cap allows; no rows fit
+        # zeros too.
+        X = np.random.default_rng(7).normal(size=(n, 3))
+        sw = np.linspace(0.1, 1.0, n) if weighted else None
+        w, c = weighted_logistic_fit(X, np.full(n, label), sample_weight=sw)
         assert np.array_equal(w, np.zeros(3))
         assert c == 0.0
         assert LocalSurrogate(weights=w, intercept=c).degenerate

@@ -438,3 +438,15 @@ class TestDatasetInvariants:
         ds = generate_artificial(3, seed=0)
         with pytest.raises(ValueError):
             ds.features[0, 0] = 99.0
+
+    def test_caller_arrays_neither_frozen_nor_shared(self):
+        X = np.array([[0.0, 1.0], [2.0, 3.0]])
+        y = np.array([0, 1])
+        ds = Dataset(X, y, ["a", "b"], ["x", "y"])
+        # The caller's arrays stay writable, and writing them after
+        # validation leaves the Dataset as it was checked.
+        X[0, 0] = np.nan
+        y[0] = 1
+        assert ds.features.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+        assert ds.labels.tolist() == [0, 1]
+        assert not ds.features.flags.writeable and not ds.labels.flags.writeable

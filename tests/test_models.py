@@ -313,6 +313,36 @@ class TestThresholdGrid:
         assert peak < tree.GRID_MAX_CELLS * 8
 
 
+@st.composite
+def grid_searches(draw):
+    """Sorted distinct edges, 1, 2**k - 1, 2**k or 2**k + 1 of them, and
+    values on the edges, on their neighbouring doubles, on signed zeros,
+    infinities and NaN, and anywhere."""
+    size = draw(st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65]))
+    edges = np.unique(draw(st.lists(st.floats(allow_nan=False), min_size=size,
+                                    max_size=size, unique=True)))
+    assert edges.size == size
+    with np.errstate(over="ignore"):  # the largest doubles step to inf
+        below, above = np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)
+    pool = [*edges, *below, *above, 0.0, -0.0, np.inf, -np.inf, np.nan]
+    value = st.one_of(st.sampled_from(pool), st.floats())
+    return edges, np.array(draw(st.lists(value, max_size=40)), dtype=np.float64)
+
+
+class TestGridSearch:
+    """The branch-free search ``_cells`` against ``np.searchsorted``."""
+
+    @given(grid_searches())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_searchsorted_right(self, case):
+        edges, values = case
+        padded = tree._padded(edges)
+        assert padded.size > edges.size and padded.size & (padded.size - 1) == 0
+        got = tree._cells(padded, edges.size, values)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.searchsorted(edges, values, side="right"))
+
+
 @pytest.fixture(scope="module")
 def over_cap_forest():
     """A forest whose threshold grid exceeds GRID_MAX_CELLS on its own."""
@@ -461,6 +491,29 @@ class TestKNNGramForm:
             model.predict_labels(queries),
             difference_form_labels(train, labels, queries),
         )
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6 + 0.1])
+    @pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0),
+                                               (1, 1), (3, 1)])
+    def test_batch_sizes_around_the_block(self, blocks, extra, offset):
+        # A short last block reads only the leading rows of the buffers the
+        # earlier, full blocks wrote.
+        rng = np.random.default_rng(blocks * 3 + extra)
+        n_train, d = 1000, 3
+        train = rng.integers(-3, 4, size=(n_train, d)) * 0.1 + offset
+        labels = rng.integers(0, 2, size=n_train)
+        block_rows = BLOCK_ELEMENTS // n_train
+        n_rows = blocks * block_rows + extra
+        picks = rng.integers(0, n_train, size=(n_rows, 2))
+        kind = rng.integers(0, 3, size=(n_rows, 1))
+        queries = np.select(
+            [kind == 0, kind == 1],
+            [train[picks[:, 0]], (train[picks[:, 0]] + train[picks[:, 1]]) / 2],
+            rng.uniform(-0.4, 0.4, size=(n_rows, d)) + offset,
+        )
+        got = KNearestModel().fit(train, labels).predict_labels(queries)
+        assert got.shape == (n_rows,)
+        assert np.array_equal(got, difference_form_labels(train, labels, queries))
 
     def test_non_finite_and_huge_queries(self):
         # Every difference-form distance of an infinite or overflowing query
