@@ -13,11 +13,12 @@ converts back to original units for reporting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import weakref
 
 import numpy as np
 
 from .data import Dataset, Standardizer, check_integer
-from .errors import DataError, ExplanationError, NoEnemiesError
+from .errors import DataError, ExplanationError, ModelError, NoEnemiesError
 
 __all__ = [
     "LeafageConfig",
@@ -388,6 +389,53 @@ def retrieve_examples(
     return top(same), top(predicted != c_z)
 
 
+def _labels(model, rows: np.ndarray) -> np.ndarray:
+    """The model's labels of ``rows`` as a new int64 array; ModelError
+    unless they are integers of shape ``(len(rows),)``, each 0 or 1."""
+    labels = np.asarray(model.predict_labels(rows))
+    if not (
+        labels.dtype.kind in "iu"
+        and labels.shape == (rows.shape[0],)
+        and np.all((labels == 0) | (labels == 1))
+    ):
+        raise ModelError(
+            f"{model.descriptor} model must return {rows.shape[0]} integer "
+            f"labels of 0 or 1, got a {labels.dtype} array of shape {labels.shape}"
+        )
+    return labels.astype(np.int64)
+
+
+# The last training reference explain() built: weak references to its
+# model, dataset and standardizer, then the standardized rows and the
+# model's labels of them.  It is read once per call and replaced whole.
+_reference: tuple | None = None
+
+
+def _training_reference(
+    model, train: Dataset, standardizer: Standardizer
+) -> tuple[np.ndarray, np.ndarray]:
+    """The standardized training rows and the model's labels of them, both
+    read-only, reused while explain() is given the same three objects.
+
+    Reuse is sound because all three are immutable: a Dataset and a
+    Standardizer hold read-only copies, a black box's labels are
+    deterministic, and a fitted model cannot be refit.
+    """
+    global _reference
+    ref = _reference
+    if ref is not None and all(
+        r() is obj for r, obj in zip(ref, (model, train, standardizer))
+    ):
+        return ref[3], ref[4]
+    X_std = standardizer.transform(train.features)
+    predicted = _labels(model, X_std)
+    X_std.flags.writeable = False
+    predicted.flags.writeable = False
+    refs = tuple(weakref.ref(obj) for obj in (model, train, standardizer))
+    _reference = (*refs, X_std, predicted)
+    return X_std, predicted
+
+
 def explain(
     model,
     train: Dataset,
@@ -403,8 +451,13 @@ def explain(
     examples are in original units while importances are
     standardized-space magnitudes.
 
-    Pure function of immutable inputs: explanations for different
-    instances may run in parallel against a shared model and dataset.
+    The standardized training rows and the model's labels of them are
+    kept from the last call: a call with the same model, ``train`` and
+    ``standardizer`` objects standardizes and labels only ``z``.  The
+    model's labels must be integer arrays of 0 and 1 codes, one per row,
+    or ModelError is raised.  Explanations for different instances may run
+    in parallel against a shared model and dataset: concurrent calls at
+    worst rebuild the kept rows and labels, never mixing two models'.
     A non-finite ``z`` and a training set that is not binary are rejected,
     and so is an instance so far from the training rows that its
     standardized values, an importance or a dissimilarity overflows.
@@ -416,7 +469,6 @@ def explain(
         )
     cfg = cfg or LeafageConfig()
     z = check_instance(z, train.d)
-    X_std = standardizer.transform(train.features)
     # A far instance can overflow a double: such steps run quietly, and a
     # non-finite result is rejected.
     too_far = "instance lies too far from the training rows: {} overflows"
@@ -424,8 +476,8 @@ def explain(
         z_std = standardizer.transform(z[None, :])[0]
     if not np.all(np.isfinite(z_std)):
         raise ExplanationError(too_far.format("its standardized value"))
-    predicted = model.predict_labels(X_std)
-    c_z = int(model.predict_labels(z_std[None, :])[0])
+    X_std, predicted = _training_reference(model, train, standardizer)
+    c_z = int(_labels(model, z_std[None, :])[0])
 
     distances = _euclidean(X_std, z_std)
     x_border = closest_enemy(distances, predicted, c_z)

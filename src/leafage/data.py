@@ -118,11 +118,19 @@ class Standardizer:
 
     Constant columns (zero standard deviation) get a scale of 1, so they
     standardize to 0 instead of dividing by zero.  A column whose mean or
-    standard deviation overflows a double raises DataError.
+    standard deviation overflows a double raises DataError.  ``means`` and
+    ``scales`` are the Standardizer's own read-only copies, so explain()
+    may reuse the rows it standardized while given the same Standardizer.
     """
 
     means: np.ndarray
     scales: np.ndarray
+
+    def __post_init__(self) -> None:
+        for attr in ("means", "scales"):
+            values = np.array(getattr(self, attr), dtype=np.float64)
+            values.setflags(write=False)
+            object.__setattr__(self, attr, values)
 
     @classmethod
     def fit(cls, features: np.ndarray) -> "Standardizer":
@@ -139,8 +147,6 @@ class Standardizer:
                 f"cannot standardize column {np.flatnonzero(wide)[0]}: its mean "
                 "or standard deviation is not a finite double"
             )
-        means.setflags(write=False)
-        scales.setflags(write=False)
         return cls(means=means, scales=scales)
 
     def transform(self, features: np.ndarray) -> np.ndarray:

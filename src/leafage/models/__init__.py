@@ -5,8 +5,9 @@ it resolves one of the six algorithm names and returns a model trained in
 that algorithm's one fixed configuration.  Trained classifiers are
 immutable and safe to share across threads for prediction: ``fit`` copies
 the training rows and labels, so later changes to the caller's arrays do
-not reach the model.  An ExternalModel handle is the one exception
-(single owner, one request in flight).
+not reach the model, and a fitted model cannot be fitted again, so
+``explain()`` may keep its labels of the training rows.  An ExternalModel
+handle is the one exception (single owner, one request in flight).
 """
 from __future__ import annotations
 

@@ -2,8 +2,8 @@
 
 A model is queried only through ``predict_labels``; everything downstream
 (neighbourhood sampling, surrogate fitting, fidelity scoring) treats it as
-opaque.  The in-process models derive from ``TrainedModel``, which labels
-their training rows once in ``fit``.
+opaque.  The in-process models derive from ``TrainedModel``, which is
+fitted once and then never changes.
 """
 from __future__ import annotations
 
@@ -30,38 +30,32 @@ class BlackBoxModel(abc.ABC):
 
 
 class TrainedModel(BlackBoxModel):
-    """A black box trained in process, which labels its training rows once.
+    """A black box trained in process, fitted exactly once.
 
-    ``fit`` validates and copies the training set, calls the subclass's
-    ``_train`` and stores the training rows' predicted labels.  Every
-    explanation labels the whole training set again, so a batch bitwise
-    equal to the training rows gets those labels back; any other batch,
-    including one that differs only by a signed zero, goes to the
+    ``fit`` validates and copies the training set and calls the
+    subclass's ``_train``; a second ``fit`` raises ModelError, so labels
+    that ``explain()`` keeps for a fitted model stay its labels.
+    ``predict_labels`` validates each batch and passes it to the
     subclass's ``_predict``.
     """
 
     _fit_rows: np.ndarray | None = None
-    _fit_labels: np.ndarray | None = None
 
     def fit(self, features: np.ndarray, labels: np.ndarray, seed: int = 0):
+        if self._fit_rows is not None:
+            raise ModelError(f"{self.descriptor} model is already fitted")
         X, y = check_training_set(features, labels)
         X.flags.writeable = False
         y.flags.writeable = False
         self._train(X, y, seed)
         self._fit_rows = X
-        self._fit_labels = self._predict(X)
         return self
 
     def predict_labels(self, rows: np.ndarray) -> np.ndarray:
         fit_rows = self._fit_rows
         if fit_rows is None:
             raise ModelError(f"{self.descriptor} model is not fitted")
-        rows = check_matrix(rows, fit_rows.shape[1])
-        if rows.shape == fit_rows.shape and np.array_equal(
-            rows.view(np.uint64), fit_rows.view(np.uint64)
-        ):
-            return self._fit_labels.copy()
-        return self._predict(rows)
+        return self._predict(check_matrix(rows, fit_rows.shape[1]))
 
     @abc.abstractmethod
     def _train(self, X: np.ndarray, y: np.ndarray, seed: int) -> None:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FixedLinearModel, dissim
-from leafage import lime, models
+from leafage import core, lime, models
 from leafage.core import (
     SURROGATE_L2,
     _euclidean,
@@ -22,7 +22,8 @@ from leafage.core import (
     weighted_logistic_fit,
 )
 from leafage.data import Dataset, Standardizer, generate_artificial
-from leafage.errors import DataError, ExplanationError, NoEnemiesError
+from leafage.errors import DataError, ExplanationError, ModelError, NoEnemiesError
+from leafage.models import BlackBoxModel
 
 
 def surrogate(w, c=0.0):
@@ -669,3 +670,46 @@ class TestExplain:
         with pytest.raises(ExplanationError, match=f"too far.*{what} overflows"):
             explain(fitted.model, ds, np.array([value, 0.5]),
                     standardizer=fitted.standardizer)
+
+
+class ReplyingModel(BlackBoxModel):
+    """A fitted model whose labels, while ``broken``, are passed through
+    ``reply`` before they are returned."""
+
+    descriptor = "replying"
+
+    def __init__(self, inner, reply):
+        self.inner, self.reply, self.broken = inner, reply, True
+
+    def predict_labels(self, rows):
+        labels = self.inner.predict_labels(rows)
+        return self.reply(labels) if self.broken else labels
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        lambda labels: labels[:-1],
+        lambda labels: labels + 1,
+        lambda labels: labels.astype(np.float64),
+        lambda labels: labels[:, None],
+        lambda labels: -labels,
+    ],
+    ids=["one-short", "codes-1-2", "float", "column", "negative"],
+)
+def test_malformed_labels_rejected(reply):
+    ds = generate_artificial(40, seed=0)
+    fitted = models.fit_on_standardized("lr", ds)
+    labels = fitted.model.predict_labels(fitted.standardizer.transform(ds.features))
+    z = ds.features[np.flatnonzero(labels == 1)[0]]
+    model = ReplyingModel(fitted.model, reply)
+    before = core._reference
+    with pytest.raises(ModelError, match="^replying model must return 80 integer"):
+        explain(model, ds, z, standardizer=fitted.standardizer)
+    assert core._reference is before  # a build that raises keeps nothing
+    # Once the training rows' labels are kept, the instance's is checked.
+    model.broken = False
+    explain(model, ds, z, standardizer=fitted.standardizer)
+    model.broken = True
+    with pytest.raises(ModelError, match="^replying model must return 1 integer"):
+        explain(model, ds, z, standardizer=fitted.standardizer)

@@ -718,56 +718,18 @@ class TestPredictContract:
             model.predict_labels(np.zeros((3, d)))
 
 
-@st.composite
-def memo_cases(draw):
-    """One of the six algorithms on 2-30 rows of d = 1-4 features drawn from
-    a few values with both signed zeros among them, some rows repeated; and
-    one cell of the training matrix to perturb."""
-    algorithm = draw(st.sampled_from(tuple(models.ALGORITHMS)))
-    d = draw(st.integers(1, 4))
-    n = draw(st.integers(2, 30))
-    values = draw(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=5))
-    row = st.lists(st.sampled_from(values + [0.0, -0.0]), min_size=d, max_size=d)
-    X = np.array(draw(st.lists(row, min_size=n, max_size=n)), dtype=np.float64)
-    X = np.vstack([X, X[draw(st.lists(st.integers(0, n - 1), max_size=5))]])
-    y = np.array(draw(st.lists(st.integers(0, 1), min_size=len(X), max_size=len(X))))
-    y[:2] = [0, 1]
-    seed = draw(st.integers(0, 2**16))
-    cell = draw(st.tuples(st.integers(0, len(X) - 1), st.integers(0, d - 1)))
-    return algorithm, X, y, seed, cell
-
-
 class TestTrainingLabels:
-    """``fit`` labels the training rows once; ``predict_labels`` serves those
-    labels to a batch bitwise equal to the training rows."""
+    """A model is fitted once; ``explain()`` labels the training rows once
+    per model, dataset and standardizer, and then only the instance."""
 
-    @given(memo_cases())
-    @settings(max_examples=150, deadline=None)
-    def test_served_labels_equal_predict(self, case):
-        algorithm, X, y, seed, (i, j) = case
-        model = models.ALGORITHMS[algorithm]().fit(X, y, seed=seed)
-        bumped = X.copy()
-        value = bumped[i, j]
-        # 0.0 and -0.0 compare equal but differ in their bits.
-        bumped[i, j] = -value if value == 0.0 else np.nextafter(value, np.inf)
-        batches = (X, X.copy(), np.asfortranarray(X), bumped)
-        expected = [model._predict(rows) for rows in batches]
-        predicted = []
-        predict = model._predict
-
-        def recording(rows):
-            predicted.append(rows)
-            return predict(rows)
-
-        model._predict = recording
-        for rows, labels in zip(batches, expected):
-            assert np.array_equal(model.predict_labels(rows), labels)
-        assert len(predicted) == 1 and predicted[0] is bumped
-        del model._predict
-        # A refit of the same instance serves the new labels.
-        model.fit(X, 1 - y, seed=seed)
-        refit = models.ALGORITHMS[algorithm]().fit(X, 1 - y, seed=seed)
-        assert np.array_equal(model.predict_labels(X), refit._predict(X))
+    @pytest.mark.parametrize("algorithm", models.ALGORITHMS)
+    def test_refit_is_refused(self, algorithm):
+        ds = generate_artificial(30, seed=1)
+        model = models.ALGORITHMS[algorithm]().fit(ds.features, ds.labels, seed=2)
+        before = model.predict_labels(ds.features)
+        with pytest.raises(ModelError, match=f"^{algorithm} model is already fitted$"):
+            model.fit(ds.features, 1 - ds.labels, seed=2)
+        assert np.array_equal(model.predict_labels(ds.features), before)
 
     @pytest.mark.parametrize("algorithm", models.ALGORITHMS)
     def test_mutating_the_training_arrays_after_fit(self, algorithm):
@@ -792,9 +754,10 @@ class TestTrainingLabels:
             sizes.append(rows.shape[0])
             return predict(self, rows)
 
-        monkeypatch.setattr(RandomForestModel, "_predict", recording)
         z = train.features[7] + 0.25
         core.explain(fitted.model, train, z, standardizer=fitted.standardizer)
+        monkeypatch.setattr(RandomForestModel, "_predict", recording)
+        core.explain(fitted.model, train, z - 0.5, standardizer=fitted.standardizer)
         assert sizes == [1]
 
     def test_explain_walks_the_instance(self, monkeypatch):
@@ -805,12 +768,14 @@ class TestTrainingLabels:
         monkeypatch.setattr(tree, "GRID_MAX_CELLS", 0)
         fitted = models.fit_on_standardized("rf", train, seed=0)
         assert fitted.model._grid is None
+        z = train.features[7] + 0.25
+        # The first call labels the training rows level by level.
+        core.explain(fitted.model, train, z, standardizer=fitted.standardizer)
 
         def refuse(self, rows):
             raise AssertionError("level-by-level traversal")
 
         monkeypatch.setattr(tree._Tree, "predict_prob", refuse)
-        z = train.features[7] + 0.25
         walked = core.explain(fitted.model, train, z, standardizer=fitted.standardizer)
         looked_up = core.explain(
             gridded.model, train, z, standardizer=gridded.standardizer
