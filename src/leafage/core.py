@@ -8,7 +8,11 @@ for per-feature importances and for a dissimilarity measure that retrieves
 the most relevant same-class and opposite-class training examples.
 
 All geometry happens in standardized feature space; :func:`explain`
-converts back to original units for reporting.
+converts back to original units for reporting.  A distance sums the
+squared differences over the features in column order, each column read
+whole; with at most two features every order gives the same double.  A
+row too far away for its squared distance to fit a double is at
+distance ``inf``.
 """
 from __future__ import annotations
 
@@ -119,8 +123,19 @@ def check_instance(z, d: int) -> np.ndarray:
 
 
 def _euclidean(rows: np.ndarray, point: np.ndarray) -> np.ndarray:
-    diff = rows - point
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    """Each row's Euclidean distance to ``point``.
+
+    The differences are written feature-major, each feature's values
+    contiguous, and their squares are added feature by feature in column
+    order.  Rows in Fortran order are read in that order already; other
+    layouts are gathered by the subtraction.  A distance whose square
+    overflows is ``inf``, without a warning.
+    """
+    with np.errstate(over="ignore"):
+        diff = np.subtract(rows.T, point[:, None], order="C")
+        np.multiply(diff, diff, out=diff)
+        dist = np.add.reduce(diff, axis=0)
+        return np.sqrt(dist, out=dist)
 
 
 def closest_enemy(distances: np.ndarray, predicted: np.ndarray, c_z: int) -> int:
@@ -406,16 +421,25 @@ def _labels(model, rows: np.ndarray) -> np.ndarray:
 
 
 # The last training reference explain() built: weak references to its
-# model, dataset and standardizer, then the standardized rows and the
-# model's labels of them.  It is read once per call and replaced whole.
+# model, dataset and standardizer, then the standardized rows, a Fortran-
+# ordered copy of them and the model's labels of them.  It is read once per
+# call, replaced whole, and dropped once one of the three objects dies.
 _reference: tuple | None = None
+
+
+def _drop_reference(dead: weakref.ref) -> None:
+    global _reference
+    ref = _reference
+    if ref is not None and any(r is dead for r in ref[:3]):
+        _reference = None
 
 
 def _training_reference(
     model, train: Dataset, standardizer: Standardizer
-) -> tuple[np.ndarray, np.ndarray]:
-    """The standardized training rows and the model's labels of them, both
-    read-only, reused while explain() is given the same three objects.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The standardized training rows, a Fortran-ordered copy of them for
+    :func:`_euclidean`, and the model's labels of them, all read-only,
+    reused while explain() is given the same three objects.
 
     Reuse is sound because all three are immutable: a Dataset and a
     Standardizer hold read-only copies, a black box's labels are
@@ -426,14 +450,17 @@ def _training_reference(
     if ref is not None and all(
         r() is obj for r, obj in zip(ref, (model, train, standardizer))
     ):
-        return ref[3], ref[4]
+        return ref[3:]
     X_std = standardizer.transform(train.features)
     predicted = _labels(model, X_std)
-    X_std.flags.writeable = False
-    predicted.flags.writeable = False
-    refs = tuple(weakref.ref(obj) for obj in (model, train, standardizer))
-    _reference = (*refs, X_std, predicted)
-    return X_std, predicted
+    columns = np.asfortranarray(X_std)
+    for array in (X_std, columns, predicted):
+        array.flags.writeable = False
+    refs = tuple(
+        weakref.ref(obj, _drop_reference) for obj in (model, train, standardizer)
+    )
+    _reference = (*refs, X_std, columns, predicted)
+    return X_std, columns, predicted
 
 
 def explain(
@@ -453,8 +480,8 @@ def explain(
 
     The standardized training rows and the model's labels of them are
     kept from the last call: a call with the same model, ``train`` and
-    ``standardizer`` objects standardizes and labels only ``z``.  The
-    model's labels must be integer arrays of 0 and 1 codes, one per row,
+    ``standardizer`` objects standardizes and labels only ``z``.  They are
+    freed once any of the three objects is.  The model's labels must be integer arrays of 0 and 1 codes, one per row,
     or ModelError is raised.  Explanations for different instances may run
     in parallel against a shared model and dataset: concurrent calls at
     worst rebuild the kept rows and labels, never mixing two models'.
@@ -476,12 +503,12 @@ def explain(
         z_std = standardizer.transform(z[None, :])[0]
     if not np.all(np.isfinite(z_std)):
         raise ExplanationError(too_far.format("its standardized value"))
-    X_std, predicted = _training_reference(model, train, standardizer)
+    X_std, columns, predicted = _training_reference(model, train, standardizer)
     c_z = int(_labels(model, z_std[None, :])[0])
 
-    distances = _euclidean(X_std, z_std)
+    distances = _euclidean(columns, z_std)
     x_border = closest_enemy(distances, predicted, c_z)
-    local_indices = sample_local_training_set(X_std, predicted, x_border, cfg)
+    local_indices = sample_local_training_set(columns, predicted, x_border, cfg)
     surrogate = fit_local_linear(X_std, predicted, local_indices)
     surrogate.x_border = x_border
 
@@ -489,9 +516,9 @@ def explain(
     if surrogate.degenerate:
         flags.append("degenerate_surrogate")
     quota = cfg.i_small * train.d
-    class_counts = np.bincount(predicted, minlength=2)
-    for cls in range(2):
-        if class_counts[cls] < quota:
+    ones = np.count_nonzero(predicted)
+    for cls, count in enumerate((predicted.size - ones, ones)):
+        if count < quota:
             flags.append(f"local_sample_shortfall_class_{cls}")
 
     with np.errstate(over="ignore", invalid="ignore"):

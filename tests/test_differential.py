@@ -5,9 +5,11 @@ against frozen references.
 ``explain`` measures the instance's distances to the training rows once;
 both must give the bits of the plain formulas kept here: the Newton
 kernel as whole-array expressions, and each geometry step with its own
-distance pass over the rows it reads.  A fit started from another fit's
-solution must land within 1e-6 * max(1, max|beta|) of the fit from zero
-and, where it stalls, give that fit's bits.  ``run_setting`` fits one
+distance pass over the rows it reads, a per-row loop in feature order.
+At one or two features that distance also has the bits of the einsum
+form it replaced.  A fit started from another fit's solution must land
+within 1e-6 * max(1, max|beta|) of the fit from zero and, where it
+stalls, give that fit's bits.  ``run_setting`` fits one
 surrogate per distinct closest enemy, records ``baseline`` as 0.5, starts
 each LIME fit after a strategy's first from that first solution, and
 counts AUC pairs by binary search; the per-instance loop kept here refits
@@ -15,6 +17,7 @@ every instance from zero and ranks every AUC, and ``run_setting``'s AUCs
 must still equal its bit for bit.
 """
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -213,8 +216,15 @@ class TestWarmStart:
 
 
 def reference_euclidean(rows, point):
-    diff = rows - point
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    """Row by row, the squared differences added in feature order."""
+    out = []
+    for row in np.asarray(rows).tolist():
+        s = 0.0
+        for value, centre in zip(row, point.tolist()):
+            t = value - centre
+            s += t * t
+        out.append(math.sqrt(s))
+    return np.array(out)
 
 
 def reference_closest_enemy(features, predicted, z, c_z):
@@ -289,6 +299,32 @@ class TestGeometry:
         assert retrieve_examples(
             X, distances, predicted, s, z, c_z, cfg.k_examples
         ) == reference_retrieve(X, predicted, s, z, c_z, cfg.k_examples)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_one_or_two_features_match_einsum(self, d, data):
+        value = st.one_of(
+            st.floats(-1e3, 1e3),
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-160]),
+            st.floats(5e153, 2e154),
+            st.floats(-2e154, -5e153),
+        )
+        row = st.lists(value, min_size=d, max_size=d)
+        point = data.draw(row)
+        rows = data.draw(st.lists(row | st.just(point), min_size=1, max_size=20))
+        rows += rows[: data.draw(st.integers(0, len(rows)))]
+        # A row 2e154 from the point in every feature: its square overflows.
+        rows.append([p - 2e154 if p > 0 else p + 2e154 for p in point])
+        X, z = np.array(rows), np.array(point)
+        with np.errstate(over="ignore"):
+            diff = X - z
+            expected = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for layout in (np.ascontiguousarray(X), np.asfortranarray(X)):
+                assert _euclidean(layout, z).tobytes() == expected.tobytes()
+        assert expected[-1] == np.inf
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 30])
     def test_underflowing_row_stays_an_ally(self, d):

@@ -160,8 +160,11 @@ def test_kept_rows_and_labels_are_read_only():
     ds = generate_artificial(30, seed=2)
     model, scaler = fitted_triple("rf", ds)
     core.explain(model, ds, ds.features[0], standardizer=scaler)
-    X_std, predicted = core._reference[3:]
-    assert not X_std.flags.writeable and not predicted.flags.writeable
+    X_std, columns, predicted = core._reference[3:]
+    for array in (X_std, columns, predicted):
+        assert not array.flags.writeable
+    # The feature-major copy explain() measures distances over.
+    assert columns.flags.f_contiguous and np.array_equal(columns, X_std)
     # A Standardizer, like a Dataset, holds read-only copies of its arrays.
     means = np.zeros(2)
     built = Standardizer(means=means, scales=np.ones(2))
@@ -169,3 +172,13 @@ def test_kept_rows_and_labels_are_read_only():
     assert built.means.tolist() == [0.0, 0.0]
     with pytest.raises(ValueError):
         built.means[0] = 1.0
+
+
+def test_kept_reference_is_dropped_with_its_objects():
+    ds = generate_artificial(200, seed=1)
+    fitted = models.fit_on_standardized("lr", ds, seed=0)
+    core.explain(fitted.model, ds, ds.features[0], standardizer=fitted.standardizer)
+    assert core._reference is not None
+    del fitted, ds
+    gc.collect()
+    assert core._reference is None
