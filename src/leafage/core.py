@@ -138,14 +138,10 @@ def _euclidean(rows: np.ndarray, point: np.ndarray) -> np.ndarray:
         return np.sqrt(dist, out=dist)
 
 
-def closest_enemy(distances: np.ndarray, predicted: np.ndarray, c_z: int) -> int:
-    """Index of the nearest row predicted differently from ``c_z``.
-
-    ``distances`` holds each row's distance to the instance.  Distance ties
-    break toward the lowest row index.
+def closest_enemy(distances: np.ndarray, enemy_rows: np.ndarray) -> int:
+    """The one of ``enemy_rows``, the rows predicted unlike the instance,
+    nearest to it by ``distances``; ties break toward the lowest row index.
     """
-    predicted = np.asarray(predicted)
-    enemy_rows = np.flatnonzero(predicted != c_z)
     if enemy_rows.size == 0:
         raise NoEnemiesError(
             "the model predicts a single class on every reference row; "
@@ -171,23 +167,20 @@ def _smallest(idx: np.ndarray, keys: np.ndarray, k: int) -> np.ndarray:
 
 def sample_local_training_set(
     features: np.ndarray,
-    predicted: np.ndarray,
+    class_rows: tuple[np.ndarray, ...],
     x_border: int,
     cfg: LeafageConfig,
 ) -> np.ndarray:
-    """Per predicted class, the quota of rows nearest to the closest enemy.
+    """Per class of ``class_rows``, each class's ascending row indices, the
+    quota of rows nearest to the closest enemy.
 
     The quota is ``i_small * d`` rows per class, clamped to class size.
     Ties at the quota boundary keep the lowest row indices.  The result is
     sorted ascending by row index.
     """
-    predicted = np.asarray(predicted)
     quota = cfg.i_small * features.shape[1]
     dist = _euclidean(features, features[x_border])
-    picked = []
-    for cls in np.flatnonzero(np.bincount(predicted)):
-        members = np.flatnonzero(predicted == cls)
-        picked.append(_smallest(members, dist[members], quota))
+    picked = [_smallest(rows, dist[rows], quota) for rows in class_rows]
     return np.sort(np.concatenate(picked))
 
 
@@ -372,36 +365,35 @@ def feature_importances(s: LocalSurrogate, z_std: np.ndarray) -> np.ndarray:
 def retrieve_examples(
     features: np.ndarray,
     distances: np.ndarray,
-    predicted: np.ndarray,
+    ally_rows: np.ndarray,
+    enemy_rows: np.ndarray,
     s: LocalSurrogate,
     z: np.ndarray,
-    c_z: int,
     k: int,
 ) -> tuple[list[tuple[int, float]], list[tuple[int, float]]]:
     """Top-k allies and enemies by ascending dissimilarity.
 
-    ``distances`` holds each row's distance to ``z``.  Allies share the
-    predicted class ``c_z`` (rows identical to ``z`` are dropped as
-    uninformative self-matches); enemies have the opposite label.  Fewer
+    ``distances`` holds each row's distance to ``z``.  Allies come from
+    ``ally_rows``, less the rows identical to ``z`` (uninformative
+    self-matches), enemies from ``enemy_rows``; both are ascending.  Fewer
     than k are returned when a class runs short.  Ties break toward the
     lowest row index.
     """
     if k < 1:
         raise ExplanationError("k must be at least 1")
-    predicted = np.asarray(predicted)
     z = np.asarray(z, dtype=np.float64)
     b = dissimilarities(s, z, features, distances)
 
-    def top(mask: np.ndarray) -> list[tuple[int, float]]:
-        idx = np.flatnonzero(mask)
+    def top(idx: np.ndarray) -> list[tuple[int, float]]:
         return [(int(i), float(b[i])) for i in _smallest(idx, b[idx], k)]
 
     # A row equal to z is at distance 0; a row at distance 0 may still
     # differ, when its squared difference underflows, so == confirms.
     at_z = np.flatnonzero(distances == 0.0)
-    same = predicted == c_z
-    same[at_z[np.all(features[at_z] == z, axis=1)]] = False
-    return top(same), top(predicted != c_z)
+    at_z = at_z[np.all(features[at_z] == z, axis=1)]
+    if at_z.size:
+        ally_rows = ally_rows[~np.isin(ally_rows, at_z)]
+    return top(ally_rows), top(enemy_rows)
 
 
 def _labels(model, rows: np.ndarray) -> np.ndarray:
@@ -420,10 +412,9 @@ def _labels(model, rows: np.ndarray) -> np.ndarray:
     return labels.astype(np.int64)
 
 
-# The last training reference explain() built: weak references to its
-# model, dataset and standardizer, then the standardized rows, a Fortran-
-# ordered copy of them and the model's labels of them.  It is read once per
-# call, replaced whole, and dropped once one of the three objects dies.
+# The last training reference built: weak references to its model, dataset
+# and standardizer, then what _training_reference returns.  It is read once
+# per call, replaced whole, and dropped once one of the three objects dies.
 _reference: tuple | None = None
 
 
@@ -436,10 +427,11 @@ def _drop_reference(dead: weakref.ref) -> None:
 
 def _training_reference(
     model, train: Dataset, standardizer: Standardizer
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """The standardized training rows, a Fortran-ordered copy of them for
-    :func:`_euclidean`, and the model's labels of them, all read-only,
-    reused while explain() is given the same three objects.
+    :func:`_euclidean`, the model's labels of them, and the ascending row
+    indices of class 0 and of class 1, all read-only, reused while it is
+    given the same three objects.
 
     Reuse is sound because all three are immutable: a Dataset and a
     Standardizer hold read-only copies, a black box's labels are
@@ -454,13 +446,14 @@ def _training_reference(
     X_std = standardizer.transform(train.features)
     predicted = _labels(model, X_std)
     columns = np.asfortranarray(X_std)
-    for array in (X_std, columns, predicted):
+    class_rows = (np.flatnonzero(predicted == 0), np.flatnonzero(predicted == 1))
+    for array in (X_std, columns, predicted, *class_rows):
         array.flags.writeable = False
     refs = tuple(
         weakref.ref(obj, _drop_reference) for obj in (model, train, standardizer)
     )
-    _reference = (*refs, X_std, columns, predicted)
-    return X_std, columns, predicted
+    _reference = (*refs, X_std, columns, predicted, class_rows)
+    return X_std, columns, predicted, class_rows
 
 
 def explain(
@@ -478,13 +471,14 @@ def explain(
     examples are in original units while importances are
     standardized-space magnitudes.
 
-    The standardized training rows and the model's labels of them are
-    kept from the last call: a call with the same model, ``train`` and
-    ``standardizer`` objects standardizes and labels only ``z``.  They are
-    freed once any of the three objects is.  The model's labels must be integer arrays of 0 and 1 codes, one per row,
-    or ModelError is raised.  Explanations for different instances may run
-    in parallel against a shared model and dataset: concurrent calls at
-    worst rebuild the kept rows and labels, never mixing two models'.
+    The standardized training rows, the model's labels of them and each
+    class's row indices are kept from the last call: a call with the same
+    model, ``train`` and ``standardizer`` objects standardizes and labels
+    only ``z``.  They are freed once any of the three objects is.  The
+    labels must be integer arrays of 0 and 1, one per row, or ModelError
+    is raised.  Explanations for different instances may run in parallel
+    against a shared model and dataset: concurrent calls at worst rebuild
+    the kept rows and labels, never mixing two models'.
     A non-finite ``z`` and a training set that is not binary are rejected,
     and so is an instance so far from the training rows that its
     standardized values, an importance or a dissimilarity overflows.
@@ -503,12 +497,15 @@ def explain(
         z_std = standardizer.transform(z[None, :])[0]
     if not np.all(np.isfinite(z_std)):
         raise ExplanationError(too_far.format("its standardized value"))
-    X_std, columns, predicted = _training_reference(model, train, standardizer)
+    X_std, columns, predicted, class_rows = _training_reference(
+        model, train, standardizer
+    )
     c_z = int(_labels(model, z_std[None, :])[0])
+    ally_rows, enemy_rows = class_rows[c_z], class_rows[1 - c_z]
 
     distances = _euclidean(columns, z_std)
-    x_border = closest_enemy(distances, predicted, c_z)
-    local_indices = sample_local_training_set(columns, predicted, x_border, cfg)
+    x_border = closest_enemy(distances, enemy_rows)
+    local_indices = sample_local_training_set(columns, class_rows, x_border, cfg)
     surrogate = fit_local_linear(X_std, predicted, local_indices)
     surrogate.x_border = x_border
 
@@ -516,15 +513,14 @@ def explain(
     if surrogate.degenerate:
         flags.append("degenerate_surrogate")
     quota = cfg.i_small * train.d
-    ones = np.count_nonzero(predicted)
-    for cls, count in enumerate((predicted.size - ones, ones)):
-        if count < quota:
+    for cls, rows in enumerate(class_rows):
+        if rows.size < quota:
             flags.append(f"local_sample_shortfall_class_{cls}")
 
     with np.errstate(over="ignore", invalid="ignore"):
         importances = feature_importances(surrogate, z_std)
         allies, enemies = retrieve_examples(
-            X_std, distances, predicted, surrogate, z_std, c_z, cfg.k_examples
+            X_std, distances, ally_rows, enemy_rows, surrogate, z_std, cfg.k_examples
         )
     if not np.all(np.isfinite([*importances, *(b for _, b in allies + enemies)])):
         raise ExplanationError(too_far.format("an importance or a dissimilarity"))

@@ -20,6 +20,7 @@ from .core import (
     LeafageConfig,
     LocalSurrogate,
     _euclidean,
+    _training_reference,
     closest_enemy,
     fit_local_linear,
     sample_local_training_set,
@@ -279,7 +280,9 @@ def run_setting(
 
     fitted = models.fit_on_standardized(classifier, train, seed=model_seed)
     model = fitted.model
-    X_train = fitted.standardizer.transform(train.features)
+    X_train, columns, pred_train, class_rows = _training_reference(
+        model, train, fitted.standardizer
+    )
     with np.errstate(over="ignore"):
         X_test = fitted.standardizer.transform(test.features)
     if not np.isfinite(X_test).all():
@@ -287,7 +290,6 @@ def run_setting(
             "a standardized test row does not fit in a double; its values lie "
             "too far outside the training rows' spread"
         )
-    pred_train = model.predict_labels(X_train)
     pred_test = model.predict_labels(X_test)
     quartile_bins = (
         QuartileBins.fit(X_train) if "lime-quartile" in strategies else None
@@ -307,17 +309,18 @@ def run_setting(
             continue
         z = X_test[i]
         c_z = int(pred_test[i])
-        if (pred_train == c_z).all():
+        enemy_rows = class_rows[1 - c_z]
+        if enemy_rows.size == 0:
             continue
         for strategy in strategies:
             if strategy == "baseline":
                 scores[strategy][i] = 0.5
                 continue
             if strategy == "leafage":
-                x_border = closest_enemy(_euclidean(X_train, z), pred_train, c_z)
+                x_border = closest_enemy(_euclidean(columns, z), enemy_rows)
                 if x_border not in surrogates:
                     local = sample_local_training_set(
-                        X_train, pred_train, x_border, leafage_cfg
+                        columns, class_rows, x_border, leafage_cfg
                     )
                     surrogates[x_border] = fit_local_linear(X_train, pred_train, local)
                 surrogate = surrogates[x_border]

@@ -30,6 +30,12 @@ def dissim(s, z, rows):
     return dissimilarities(s, z, rows, _euclidean(rows, z))
 
 
+def class_rows(predicted):
+    """Each class's row indices, as ``explain`` keeps them."""
+    predicted = np.asarray(predicted)
+    return np.flatnonzero(predicted == 0), np.flatnonzero(predicted == 1)
+
+
 def blob_dataset(n_per_class=60, seed=0, gap=4.0):
     X, y = separable_blobs(n_per_class, seed, gap)
     return Dataset(X, y, ["f0", "f1"], ["neg", "pos"], name="blobs")

@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import FixedLinearModel, dissim
+from conftest import FixedLinearModel, class_rows, dissim
 from leafage.cli import main
 from leafage.core import (
     LeafageConfig,
@@ -222,7 +222,7 @@ class TestCriterion6SamplerContract:
                 predicted[0] = 1 - predicted[0]
             border = int(rng.integers(0, n))
             cfg = LeafageConfig(i_small=i_small)
-            idx = sample_local_training_set(X, predicted, border, cfg)
+            idx = sample_local_training_set(X, class_rows(predicted), border, cfg)
             quota = i_small * d
             dist = np.linalg.norm(X - X[border], axis=1)
             for cls in (0, 1):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FixedLinearModel, dissim
+from conftest import FixedLinearModel, class_rows, dissim
 from leafage import core, lime, models
 from leafage.core import (
     SURROGATE_L2,
@@ -31,7 +31,12 @@ def surrogate(w, c=0.0):
 
 
 def nearest_enemy(X, predicted, z, c_z):
-    return closest_enemy(_euclidean(X, z), predicted, c_z)
+    return closest_enemy(_euclidean(X, z), class_rows(predicted)[1 - c_z])
+
+
+def retrieve(X, predicted, s, z, c_z, k):
+    rows = class_rows(predicted)
+    return retrieve_examples(X, _euclidean(X, z), rows[c_z], rows[1 - c_z], s, z, k)
 
 
 class TestClosestEnemy:
@@ -64,7 +69,7 @@ class TestSampler:
         ds = generate_artificial(200, seed=0)  # 200 rows per class, d=2
         predicted = ds.labels.copy()
         cfg = LeafageConfig(i_small=10)
-        idx = sample_local_training_set(ds.features, predicted, 5, cfg)
+        idx = sample_local_training_set(ds.features, class_rows(predicted), 5, cfg)
         assert idx.size == 40
         assert (predicted[idx] == 0).sum() == 20
         assert (predicted[idx] == 1).sum() == 20
@@ -74,7 +79,7 @@ class TestSampler:
         X = rng.normal(size=(23, 2))
         predicted = np.array([1] * 3 + [0] * 20)
         cfg = LeafageConfig(i_small=10)  # quota 20 per class
-        idx = sample_local_training_set(X, predicted, 0, cfg)
+        idx = sample_local_training_set(X, class_rows(predicted), 0, cfg)
         assert (predicted[idx] == 1).sum() == 3
         assert (predicted[idx] == 0).sum() == 20
 
@@ -84,7 +89,7 @@ class TestSampler:
         predicted = (rng.uniform(size=300) < 0.5).astype(int)
         cfg = LeafageConfig(i_small=4)  # quota 12
         border = 17
-        idx = sample_local_training_set(X, predicted, border, cfg)
+        idx = sample_local_training_set(X, class_rows(predicted), border, cfg)
         dist = np.linalg.norm(X - X[border], axis=1)
         for cls in (0, 1):
             members = np.flatnonzero(predicted == cls)
@@ -100,7 +105,7 @@ class TestSampler:
         X = np.vstack([[0.0, 0.0], ring])
         predicted = np.array([1] + [0] * 8)
         cfg = LeafageConfig(i_small=2)  # quota 4... d=2 -> 4 per class
-        idx = sample_local_training_set(X, predicted, 0, cfg)
+        idx = sample_local_training_set(X, class_rows(predicted), 0, cfg)
         enemies = idx[predicted[idx] == 0]
         assert enemies.tolist() == [1, 2, 3, 4]
 
@@ -439,7 +444,7 @@ class TestRetrieve:
 
     def test_top_k_against_full_sort_oracle(self):
         X, predicted, s, z = self.setup_case()
-        allies, enemies = retrieve_examples(X, _euclidean(X, z), predicted, s, z, 1, 5)
+        allies, enemies = retrieve(X, predicted, s, z, 1, 5)
         b = dissim(s, z, X)
         for got, cls in ((allies, 1), (enemies, 0)):
             members = np.flatnonzero(predicted == cls)
@@ -448,7 +453,7 @@ class TestRetrieve:
 
     def test_ascending_order(self):
         X, predicted, s, z = self.setup_case(seed=5)
-        allies, enemies = retrieve_examples(X, _euclidean(X, z), predicted, s, z, 0, 5)
+        allies, enemies = retrieve(X, predicted, s, z, 0, 5)
         for got in (allies, enemies):
             values = [v for _, v in got]
             assert values == sorted(values)
@@ -457,20 +462,20 @@ class TestRetrieve:
         X, predicted, s, z = self.setup_case(seed=2, n=10)
         predicted[:] = 1
         predicted[3] = 0
-        allies, enemies = retrieve_examples(X, _euclidean(X, z), predicted, s, z, 1, 5)
+        allies, enemies = retrieve(X, predicted, s, z, 1, 5)
         assert len(enemies) == 1
         assert len(allies) == 5
 
     def test_k_below_one_rejected(self):
         X, predicted, s, z = self.setup_case()
         with pytest.raises(ExplanationError, match="k must be at least 1"):
-            retrieve_examples(X, _euclidean(X, z), predicted, s, z, 1, 0)
+            retrieve(X, predicted, s, z, 1, 0)
 
     def test_duplicate_of_z_excluded_from_allies(self):
         X, predicted, s, _ = self.setup_case(seed=3)
         z = X[17].copy()
         predicted[17] = 1
-        allies, _ = retrieve_examples(X, _euclidean(X, z), predicted, s, z, 1, 5)
+        allies, _ = retrieve(X, predicted, s, z, 1, 5)
         assert 17 not in [i for i, _ in allies]
 
 

@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import __cpu_features__
+from conftest import __cpu_features__, class_rows
 import leafage
 from leafage import lime, models
 from leafage.core import (
@@ -290,14 +290,15 @@ class TestGeometry:
         s = LocalSurrogate(weights=weights, intercept=0.0)
 
         distances = _euclidean(X, z)
-        x_border = closest_enemy(distances, predicted, c_z)
+        rows = class_rows(predicted)
+        x_border = closest_enemy(distances, rows[1 - c_z])
         assert x_border == reference_closest_enemy(X, predicted, z, c_z)
         assert np.array_equal(
-            sample_local_training_set(X, predicted, x_border, cfg),
+            sample_local_training_set(X, rows, x_border, cfg),
             reference_local_set(X, predicted, x_border, cfg.i_small * d),
         )
         assert retrieve_examples(
-            X, distances, predicted, s, z, c_z, cfg.k_examples
+            X, distances, rows[c_z], rows[1 - c_z], s, z, cfg.k_examples
         ) == reference_retrieve(X, predicted, s, z, c_z, cfg.k_examples)
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -338,7 +339,8 @@ class TestGeometry:
         distances = _euclidean(X, z)
         assert distances[10:].tolist() == [0.0, 0.0, 0.0]
         s = LocalSurrogate(weights=rng.normal(size=d), intercept=0.0)
-        allies, _ = retrieve_examples(X, distances, predicted, s, z, 1, 3)
+        rows = class_rows(predicted)
+        allies, _ = retrieve_examples(X, distances, rows[1], rows[0], s, z, 3)
         assert allies[0] == (11, 0.0)
         assert {i for i, _ in allies}.isdisjoint({10, 12})
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import FixedLinearModel, blob_dataset
 from leafage import evaluation, models
-from leafage.core import LocalSurrogate
+from leafage.core import LocalSurrogate, explain
 from leafage.data import Dataset, SplitSpec, generate_artificial, train_test_split
 from leafage.errors import DataError, NoEnemiesError
 from leafage.evaluation import (
@@ -546,6 +546,33 @@ class TestRunSetting:
         assert len(calls["fit_local_linear"]) == len(set(enemies)) < len(enemies)
         local_sets = [args[2] for args, _ in calls["sample_local_training_set"]]
         assert local_sets == list(dict.fromkeys(enemies))
+
+    @pytest.mark.parametrize("classifier", models.ALGORITHMS)
+    def test_leafage_surrogates_equal_explains(self, monkeypatch, classifier):
+        """Each scored instance's surrogate is the one explain() fits for
+        that test row, given in original units, bit for bit."""
+        enemies, fits = [], []
+        for name, log in (("closest_enemy", enemies), ("fit_local_linear", fits)):
+            def spy(*args, function=getattr(evaluation, name), log=log):
+                log.append(function(*args))
+                return log[-1]
+            monkeypatch.setattr(evaluation, name, spy)
+        ds = generate_artificial(60, seed=7)
+        train, test = train_test_split(ds, SplitSpec(seed=7))
+        (summary,) = run_setting(train, test, classifier, ("leafage",))
+        scored = np.flatnonzero(~np.isnan(summary.per_instance_auc))
+        assert scored.size == len(enemies) > 0
+        surrogates = dict(zip(dict.fromkeys(enemies), fits, strict=True))
+        fitted = models.fit_on_standardized(classifier, train, seed=0)
+        for i, x_border in zip(scored, enemies):
+            want = explain(
+                fitted.model, train, test.features[i], standardizer=fitted.standardizer
+            ).surrogate
+            got = surrogates[x_border]
+            assert want.x_border == x_border
+            assert got.local_indices.tobytes() == want.local_indices.tobytes()
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert got.intercept.hex() == want.intercept.hex()
 
     def test_overflowing_test_row_rejected_before_scoring(self, monkeypatch):
         # Training x2 spreads over ~1e-150, so a test x2 of 1e200

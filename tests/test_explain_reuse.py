@@ -13,8 +13,15 @@ import pytest
 
 from conftest import FixedLinearModel
 from leafage import core, models
-from leafage.data import Dataset, Standardizer, generate_artificial
+from leafage.data import (
+    Dataset,
+    SplitSpec,
+    Standardizer,
+    generate_artificial,
+    train_test_split,
+)
 from leafage.errors import ModelError
+from leafage.evaluation import run_setting
 from leafage.models import ExternalModel
 
 # Labels each row by the sign of its first feature, and appends the number
@@ -160,9 +167,12 @@ def test_kept_rows_and_labels_are_read_only():
     ds = generate_artificial(30, seed=2)
     model, scaler = fitted_triple("rf", ds)
     core.explain(model, ds, ds.features[0], standardizer=scaler)
-    X_std, columns, predicted = core._reference[3:]
-    for array in (X_std, columns, predicted):
+    X_std, columns, predicted, class_rows = core._reference[3:]
+    for array in (X_std, columns, predicted, *class_rows):
         assert not array.flags.writeable
+    assert len(class_rows) == 2
+    for c, rows in enumerate(class_rows):
+        assert np.array_equal(rows, np.flatnonzero(predicted == c))
     # The feature-major copy explain() measures distances over.
     assert columns.flags.f_contiguous and np.array_equal(columns, X_std)
     # A Standardizer, like a Dataset, holds read-only copies of its arrays.
@@ -182,3 +192,17 @@ def test_kept_reference_is_dropped_with_its_objects():
     del fitted, ds
     gc.collect()
     assert core._reference is None
+
+
+def test_run_setting_keeps_nothing_of_its_model():
+    train, test = train_test_split(generate_artificial(40, seed=3), SplitSpec(seed=3))
+    model, scaler = fitted_triple("rf", train)
+    z = test.features[0]
+    core._reference = None
+    cold = core.explain(model, train, z, standardizer=scaler)
+    # run_setting builds its reference on the same dataset object, with a
+    # model and standardizer of its own that die when it returns.
+    run_setting(train, test, "rf", ("leafage",))
+    gc.collect()
+    assert core._reference is None
+    assert same_explanation(core.explain(model, train, z, standardizer=scaler), cold)
