@@ -392,7 +392,7 @@ def retrieve_examples(
     at_z = np.flatnonzero(distances == 0.0)
     at_z = at_z[np.all(features[at_z] == z, axis=1)]
     if at_z.size:
-        ally_rows = ally_rows[~np.isin(ally_rows, at_z)]
+        ally_rows = ally_rows[~np.isin(ally_rows, at_z, kind="sort")]
     return top(ally_rows), top(enemy_rows)
 
 
@@ -412,9 +412,10 @@ def _labels(model, rows: np.ndarray) -> np.ndarray:
     return labels.astype(np.int64)
 
 
-# The last training reference built: weak references to its model, dataset
-# and standardizer, then what _training_reference returns.  It is read once
-# per call, replaced whole, and dropped once one of the three objects dies.
+# The training reference explain() keeps: weak references to its model,
+# dataset and standardizer, then what _training_reference built from them.
+# Only explain() reads and replaces it, once per call, and it is dropped
+# once one of the three objects dies.
 _reference: tuple | None = None
 
 
@@ -430,29 +431,16 @@ def _training_reference(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """The standardized training rows, a Fortran-ordered copy of them for
     :func:`_euclidean`, the model's labels of them, and the ascending row
-    indices of class 0 and of class 1, all read-only, reused while it is
-    given the same three objects.
+    indices of class 0 and of class 1, all read-only and built afresh.
 
-    Reuse is sound because all three are immutable: a Dataset and a
-    Standardizer hold read-only copies, a black box's labels are
-    deterministic, and a fitted model cannot be refit.
+    It keeps nothing: :func:`explain` keeps the last one it was given.
     """
-    global _reference
-    ref = _reference
-    if ref is not None and all(
-        r() is obj for r, obj in zip(ref, (model, train, standardizer))
-    ):
-        return ref[3:]
     X_std = standardizer.transform(train.features)
     predicted = _labels(model, X_std)
     columns = np.asfortranarray(X_std)
     class_rows = (np.flatnonzero(predicted == 0), np.flatnonzero(predicted == 1))
     for array in (X_std, columns, predicted, *class_rows):
         array.flags.writeable = False
-    refs = tuple(
-        weakref.ref(obj, _drop_reference) for obj in (model, train, standardizer)
-    )
-    _reference = (*refs, X_std, columns, predicted, class_rows)
     return X_std, columns, predicted, class_rows
 
 
@@ -471,10 +459,12 @@ def explain(
     examples are in original units while importances are
     standardized-space magnitudes.
 
-    The standardized training rows, the model's labels of them and each
-    class's row indices are kept from the last call: a call with the same
-    model, ``train`` and ``standardizer`` objects standardizes and labels
-    only ``z``.  They are freed once any of the three objects is.  The
+    This function alone keeps the training reference that
+    :func:`_training_reference` builds (the standardized training rows,
+    the model's labels of them and each class's row indices) from its
+    last call: a call with the same model, ``train`` and ``standardizer``
+    objects standardizes and labels only ``z``, whatever ran in between.
+    They are freed once any of the three objects is.  The
     labels must be integer arrays of 0 and 1, one per row, or ModelError
     is raised.  Explanations for different instances may run in parallel
     against a shared model and dataset: concurrent calls at worst rebuild
@@ -497,9 +487,17 @@ def explain(
         z_std = standardizer.transform(z[None, :])[0]
     if not np.all(np.isfinite(z_std)):
         raise ExplanationError(too_far.format("its standardized value"))
-    X_std, columns, predicted, class_rows = _training_reference(
-        model, train, standardizer
-    )
+    # Reuse is sound because all three objects are immutable: a Dataset
+    # and a Standardizer hold read-only copies, a black box's labels are
+    # deterministic, and a fitted model cannot be refit.
+    global _reference
+    ref, triple = _reference, (model, train, standardizer)
+    if ref is not None and all(r() is obj for r, obj in zip(ref, triple)):
+        built = ref[3:]
+    else:
+        built = _training_reference(*triple)
+        _reference = (*(weakref.ref(obj, _drop_reference) for obj in triple), *built)
+    X_std, columns, predicted, class_rows = built
     c_z = int(_labels(model, z_std[None, :])[0])
     ally_rows, enemy_rows = class_rows[c_z], class_rows[1 - c_z]
 

@@ -1,13 +1,50 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 try:
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 except ImportError:  # numpy 1.x
     from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
+import leafage
 from leafage.core import _euclidean, dissimilarities
 from leafage.data import Dataset
 from leafage.models.base import BlackBoxModel
+
+
+def child_env(haswell: bool = False) -> dict[str, str]:
+    """The environment of a child Python process, with this checkout's
+    ``src`` first on PYTHONPATH.  With ``haswell`` the child's OpenBLAS
+    loads its Haswell kernels; the test is skipped when this CPU cannot
+    run them or this run already does."""
+    env = dict(os.environ)
+    if haswell:
+        if env.get("OPENBLAS_CORETYPE") == "Haswell":
+            pytest.skip("this run already uses the Haswell kernels")
+        if not __cpu_features__.get("AVX2"):
+            pytest.skip("this CPU cannot run OpenBLAS's Haswell kernels")
+        env["OPENBLAS_CORETYPE"] = "Haswell"
+    src = str(Path(leafage.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def rerun_under_haswell(test_file: str) -> None:
+    """Runs the test module ``test_file`` again under OpenBLAS's Haswell
+    kernels.  OpenBLAS picks its gemm and gemv kernels at load, by the
+    CPU, so a product can match the expected bits on this CPU's kernels
+    and not on the Haswell ones an AVX2-only host loads."""
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test_file],
+        cwd=Path(test_file).parents[1], env=child_env(haswell=True),
+        capture_output=True, text=True, timeout=600,
+    )
+    assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-2000:]
 
 
 def separable_blobs(n_per_class=60, seed=0, gap=4.0):

@@ -1,14 +1,13 @@
 import csv
 import json
-import os
 import subprocess
 import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import child_env
 from leafage import cli, models
 from leafage.cli import main
 from leafage.data import Dataset, SplitSpec, train_test_split
@@ -800,10 +799,8 @@ def test_import_loads_no_network_modules():
         "print(sorted(m for m in ('urllib.request', 'http.client', 'ssl', 'email')"
         " if m in sys.modules))"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,
-        timeout=60, check=True, env={**os.environ, "PYTHONPATH": path},
+        timeout=60, check=True, env=child_env(),
     )
     assert done.stdout.strip() == "[]"

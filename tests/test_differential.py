@@ -18,18 +18,14 @@ must still equal its bit for bit.
 """
 import dataclasses
 import math
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import __cpu_features__, class_rows
+from conftest import class_rows, rerun_under_haswell
 import leafage
 from leafage import lime, models
 from leafage.core import (
@@ -461,20 +457,6 @@ def test_run_setting_equals_per_instance_refits(classifier):
 
 
 def test_module_under_haswell_kernels():
-    # OpenBLAS picks its gemm and gemv kernels at load, by the CPU.  A
-    # buffer layout can match the plain formulas' bits on this CPU's
-    # kernels and not on the Haswell ones an AVX2-only host loads, so the
-    # module runs again with those.
-    if os.environ.get("OPENBLAS_CORETYPE") == "Haswell":
-        pytest.skip("this run already uses the Haswell kernels")
-    if not __cpu_features__.get("AVX2"):
-        pytest.skip("this CPU cannot run OpenBLAS's Haswell kernels")
-    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
-    src = str(Path(leafage.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__],
-        cwd=Path(__file__).parents[1], env=env, capture_output=True, text=True,
-        timeout=600,
-    )
-    assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-2000:]
+    # A buffer layout can match the plain formulas' bits on this CPU's
+    # kernels and not on the Haswell ones, so the module runs again.
+    rerun_under_haswell(__file__)

@@ -200,9 +200,20 @@ def test_run_setting_keeps_nothing_of_its_model():
     z = test.features[0]
     core._reference = None
     cold = core.explain(model, train, z, standardizer=scaler)
+    kept = core._reference
     # run_setting builds its reference on the same dataset object, with a
-    # model and standardizer of its own that die when it returns.
+    # model and standardizer of its own, and keeps none of it.
     run_setting(train, test, "rf", ("leafage",))
     gc.collect()
-    assert core._reference is None
+    assert core._reference is kept
     assert same_explanation(core.explain(model, train, z, standardizer=scaler), cold)
+
+
+def test_run_setting_between_explains_resends_no_training_rows(counting):
+    train, test = train_test_split(generate_artificial(40, seed=3), SplitSpec(seed=3))
+    scaler = Standardizer.fit(train.features)
+    model, sizes = counting()
+    core.explain(model, train, test.features[0], standardizer=scaler)
+    run_setting(train, test, "lr", ("leafage",))
+    core.explain(model, train, test.features[1], standardizer=scaler)
+    assert sizes() == [train.n, 1, 1]

@@ -19,8 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import __cpu_dispatch__, __cpu_features__
-import leafage
+from conftest import __cpu_dispatch__, __cpu_features__, child_env
 from leafage.cli import main
 from leafage.models import ALGORITHMS
 
@@ -72,19 +71,12 @@ def kernel_env(mode: str) -> dict[str, str]:
     kernels off ("avx512"), every numpy dispatch target off ("baseline"),
     or OpenBLAS's Haswell kernels ("haswell"); skips the test when this
     CPU cannot tell the mode from its default."""
-    env = dict(os.environ)
     if mode == "haswell":
-        if not __cpu_features__.get("AVX2"):
-            pytest.skip("this CPU cannot run OpenBLAS's Haswell kernels")
-        env["OPENBLAS_CORETYPE"] = "Haswell"
-    else:
-        disabled = [f for f in DISPATCH_OFF[mode] if __cpu_features__.get(f)]
-        if not disabled:
-            pytest.skip("this CPU runs none of these dispatch targets")
-        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(disabled)
-    src = str(Path(leafage.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
+        return child_env(haswell=True)
+    disabled = [f for f in DISPATCH_OFF[mode] if __cpu_features__.get(f)]
+    if not disabled:
+        pytest.skip("this CPU runs none of these dispatch targets")
+    return {**child_env(), "NPY_DISABLE_CPU_FEATURES": " ".join(disabled)}
 
 
 @pytest.mark.parametrize("mode", KERNEL_MODES)

@@ -1,19 +1,16 @@
 import math
-import os
 import subprocess
 import sys
 import textwrap
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import separable_blobs
-import leafage
+from conftest import child_env, rerun_under_haswell, separable_blobs
 from leafage.data import Dataset, SplitSpec, generate_artificial, train_test_split
 from leafage.errors import ModelError
 from leafage import core, models
@@ -558,11 +555,9 @@ class TestKNNGramForm:
             print((after - before) / 1024.0)
             """
         )
-        src = str(Path(leafage.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         done = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True,
-            timeout=120, check=True, env={**os.environ, "PYTHONPATH": path},
+            timeout=120, check=True, env=child_env(),
         )
         growth_mb = float(done.stdout.strip())
         assert growth_mb < 100.0, f"peak RSS grew {growth_mb:.0f} MB"
@@ -786,3 +781,9 @@ class TestTrainingLabels:
             assert [e.index for e in getattr(walked, side)] == [
                 e.index for e in getattr(looked_up, side)
             ]
+
+
+def test_module_under_haswell_kernels():
+    # The fused 1-NN Gram product rounds differently under each OpenBLAS
+    # kernel; its rounding band must cover the Haswell kernel too.
+    rerun_under_haswell(__file__)
