@@ -413,9 +413,11 @@ def _labels(model, rows: np.ndarray) -> np.ndarray:
 
 
 # The training reference explain() keeps: weak references to its model,
-# dataset and standardizer, then what _training_reference built from them.
-# Only explain() reads and replaces it, once per call, and it is dropped
-# once one of the three objects dies.
+# dataset and standardizer, what _training_reference built from them, and
+# the surrogates fitted on it, keyed by (closest enemy, i_small), each as
+# read-only (weights, intercept, local indices).  Only explain() reads and
+# replaces it, once per call, and it is dropped once one of the three
+# objects dies.
 _reference: tuple | None = None
 
 
@@ -464,11 +466,15 @@ def explain(
     the model's labels of them and each class's row indices) from its
     last call: a call with the same model, ``train`` and ``standardizer``
     objects standardizes and labels only ``z``, whatever ran in between.
-    They are freed once any of the three objects is.  The
-    labels must be integer arrays of 0 and 1, one per row, or ModelError
-    is raised.  Explanations for different instances may run in parallel
-    against a shared model and dataset: concurrent calls at worst rebuild
-    the kept rows and labels, never mixing two models'.
+    Beside it, it keeps one surrogate per closest enemy and ``i_small``
+    it has fitted on that reference, so an instance whose closest enemy
+    an earlier one met is neither sampled nor fitted again; each call
+    gets its own copy.  All of it is freed once any of the three objects
+    is.  The labels must be integer arrays of 0 and 1, one per row, or
+    ModelError is raised.  Explanations for different instances may run
+    in parallel against a shared model and dataset: concurrent calls at
+    worst rebuild the kept rows and labels or refit a kept surrogate,
+    never mixing two models'.
     A non-finite ``z`` and a training set that is not binary are rejected,
     and so is an instance so far from the training rows that its
     standardized values, an importance or a dissimilarity overflows.
@@ -492,20 +498,26 @@ def explain(
     # deterministic, and a fitted model cannot be refit.
     global _reference
     ref, triple = _reference, (model, train, standardizer)
-    if ref is not None and all(r() is obj for r, obj in zip(ref, triple)):
-        built = ref[3:]
-    else:
-        built = _training_reference(*triple)
-        _reference = (*(weakref.ref(obj, _drop_reference) for obj in triple), *built)
-    X_std, columns, predicted, class_rows = built
+    if ref is None or not all(r() is obj for r, obj in zip(ref, triple)):
+        weak = (weakref.ref(obj, _drop_reference) for obj in triple)
+        ref = _reference = (*weak, *_training_reference(*triple), {})
+    X_std, columns, predicted, class_rows, fits = ref[3:]
     c_z = int(_labels(model, z_std[None, :])[0])
     ally_rows, enemy_rows = class_rows[c_z], class_rows[1 - c_z]
 
     distances = _euclidean(columns, z_std)
     x_border = closest_enemy(distances, enemy_rows)
-    local_indices = sample_local_training_set(columns, class_rows, x_border, cfg)
-    surrogate = fit_local_linear(X_std, predicted, local_indices)
-    surrogate.x_border = x_border
+    # The surrogate depends on z only through its closest enemy, and the
+    # fit is deterministic, so a kept one equals a refit bit for bit.
+    key = (x_border, cfg.i_small)
+    if key not in fits:
+        local_indices = sample_local_training_set(columns, class_rows, x_border, cfg)
+        fitted = fit_local_linear(X_std, predicted, local_indices)
+        for array in (fitted.weights, fitted.local_indices):
+            array.flags.writeable = False
+        fits[key] = (fitted.weights, fitted.intercept, fitted.local_indices)
+    weights, intercept, indices = fits[key]
+    surrogate = LocalSurrogate(weights.copy(), intercept, x_border, indices.copy())
 
     flags = []
     if surrogate.degenerate:

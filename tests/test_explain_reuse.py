@@ -1,15 +1,19 @@
-"""explain() keeps the standardized training rows and the model's labels of
-them while it is given the same model, dataset and standardizer objects.
+"""explain() keeps the standardized training rows, the model's labels of
+them and the surrogates it fitted on them while it is given the same
+model, dataset and standardizer objects.
 
 Reused explanations must equal cold ones bit for bit, and any new object
-in the triple, equal in content or not, must be labelled afresh.
+in the triple, equal in content or not, must be labelled and fitted afresh.
 """
 import gc
 import sys
 import textwrap
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FixedLinearModel
 from leafage import core, models
@@ -167,9 +171,13 @@ def test_kept_rows_and_labels_are_read_only():
     ds = generate_artificial(30, seed=2)
     model, scaler = fitted_triple("rf", ds)
     core.explain(model, ds, ds.features[0], standardizer=scaler)
-    X_std, columns, predicted, class_rows = core._reference[3:]
+    ref = core._reference
+    X_std, columns, predicted, class_rows = ref[3], ref[4], ref[5], ref[6]
     for array in (X_std, columns, predicted, *class_rows):
         assert not array.flags.writeable
+    # So are the arrays of each surrogate kept beside them.
+    for weights, _, local_indices in ref[7].values():
+        assert not weights.flags.writeable and not local_indices.flags.writeable
     assert len(class_rows) == 2
     for c, rows in enumerate(class_rows):
         assert np.array_equal(rows, np.flatnonzero(predicted == c))
@@ -217,3 +225,121 @@ def test_run_setting_between_explains_resends_no_training_rows(counting):
     run_setting(train, test, "lr", ("leafage",))
     core.explain(model, train, test.features[1], standardizer=scaler)
     assert sizes() == [train.n, 1, 1]
+
+
+def counting_fits(monkeypatch):
+    """The calls explain() makes to the local sampler and the surrogate fit,
+    counted as they pass through core's module globals."""
+    calls = {"sample_local_training_set": [], "fit_local_linear": []}
+    for name, log in calls.items():
+        def spy(*args, function=getattr(core, name), log=log):
+            log.append(args)
+            return function(*args)
+        monkeypatch.setattr(core, name, spy)
+    return lambda: [len(log) for log in calls.values()]
+
+
+def test_one_fit_per_closest_enemy(monkeypatch):
+    ds = generate_artificial(60, seed=4)
+    model, scaler = fitted_triple("fixed-linear", ds)
+    twin_model, _ = fitted_triple("fixed-linear", ds)
+    twin = Dataset(ds.features, ds.labels, ds.column_names, ds.class_names)
+    twin_scaler = Standardizer.fit(ds.features)
+    z, small = ds.features[3] + 0.25, core.LeafageConfig(i_small=3)
+    # (model, dataset, standardizer, instance, config, fits so far)
+    calls = [
+        (model, ds, scaler, z, None, 1),
+        # Another instance with the same closest enemy fits nothing.
+        (model, ds, scaler, z + 1e-9, None, 1),
+        # Another i_small samples another local set, once.
+        (model, ds, scaler, z, small, 2),
+        (model, ds, scaler, z + 1e-9, small, 2),
+        # A new object in any of the three places, equal or not, fits again.
+        (twin_model, ds, scaler, z, None, 3),
+        (twin_model, twin, scaler, z, None, 4),
+        (twin_model, twin, twin_scaler, z, None, 5),
+    ]
+    fits = counting_fits(monkeypatch)
+    core._reference = None
+    warm = []
+    for m, t, s, q, c, n_fits in calls:
+        warm.append(core.explain(m, t, q, c, standardizer=s))
+        assert fits() == [n_fits, n_fits]
+    assert warm[0].surrogate.x_border == warm[1].surrogate.x_border
+    for (m, t, s, q, c, _), reused in zip(calls, warm):
+        core._reference = None
+        assert same_explanation(reused, core.explain(m, t, q, c, standardizer=s))
+
+
+def test_writing_into_an_explanation_leaves_the_kept_surrogate(monkeypatch):
+    ds = generate_artificial(60, seed=4)
+    model, scaler = fitted_triple("rf", ds)
+    z = ds.features[7] + 0.25
+    core._reference = None
+    cold = core.explain(model, ds, z + 1e-9, standardizer=scaler)
+    fits = counting_fits(monkeypatch)
+    core._reference = None
+    # The first call fits and keeps the surrogate; the later ones, for
+    # another instance with the same closest enemy, reuse it.
+    for _ in range(3):
+        written = core.explain(model, ds, z, standardizer=scaler)
+        written.surrogate.weights[:] = 99.0
+        written.surrogate.local_indices[:] = 0
+        reused = core.explain(model, ds, z + 1e-9, standardizer=scaler)
+        assert same_explanation(reused, cold)
+    assert fits() == [1, 1]
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(12, 60),
+    st.sampled_from([2, 3, 5]),
+    st.sampled_from([2, 3, 10]),
+    st.sampled_from(["dt", "knn", "fixed-linear"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_kept_surrogates_equal_refits(seed, n, d, i_small, kind):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    labels = X @ rng.normal(size=d) + rng.normal(scale=0.5, size=n) >= 0
+    labels[:2] = [False, True]
+    ds = Dataset(X, labels.astype(np.int64), [f"x{j}" for j in range(d)], ["a", "b"])
+    if kind == "fixed-linear":
+        model, scaler = FixedLinearModel(rng.normal(size=d)), Standardizer.fit(X)
+    else:
+        fitted = models.fit_on_standardized(kind, ds, seed=0)
+        model, scaler = fitted.model, fitted.standardizer
+    if np.unique(model.predict_labels(scaler.transform(X))).size < 2:
+        return  # no enemies: explain() refuses every instance
+    # Queries near a few training rows, so that many share a closest enemy.
+    queries = X[rng.integers(0, n, size=12)] + rng.normal(scale=0.05, size=(12, d))
+    cfg = core.LeafageConfig(i_small=i_small)
+    core._reference = None
+    warm = [core.explain(model, ds, z, cfg, standardizer=scaler) for z in queries]
+    for z, reused in zip(queries, warm):
+        core._reference = None
+        cold = core.explain(model, ds, z, cfg, standardizer=scaler)
+        assert same_explanation(reused, cold)
+
+
+def test_concurrent_explanations_equal_serial_cold_ones():
+    ds = generate_artificial(200, seed=8)
+    model, scaler = fitted_triple("knn", ds)
+    # 16 rows, each with four nearby queries that share its closest enemy.
+    rows = ds.features[::25]
+    queries = (rows[:, None, :] + 1e-7 * np.arange(4)[:, None]).reshape(-1, ds.d)
+    assert len(queries) == 64
+
+    def explain(z):
+        return core.explain(model, ds, z, standardizer=scaler)
+
+    cold = []
+    for z in queries:
+        core._reference = None
+        cold.append(explain(z))
+    assert len({e.surrogate.x_border for e in cold}) < len(queries)
+    for _ in range(3):
+        core._reference = None
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            parallel = list(pool.map(explain, queries))
+        assert all(map(same_explanation, parallel, cold))
