@@ -24,6 +24,7 @@ from .data import (
     Dataset,
     SplitSpec,
     check_fraction,
+    float_array,
     generate_artificial,
     load_csv,
     one_vs_rest,
@@ -106,10 +107,7 @@ def _parse_instance(
     values = [mapping[c] for c in ds.column_names]
     if not all(map(is_number, values)):
         raise DataError("instance feature values must be numbers")
-    try:
-        return np.array(values, dtype=np.float64)
-    except OverflowError:
-        raise DataError("instance feature values must fit in a double") from None
+    return float_array(values, "instance feature values", DataError)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,7 +21,7 @@ import weakref
 
 import numpy as np
 
-from .data import Dataset, Standardizer, check_integer
+from .data import Dataset, Standardizer, check_integer, float_array
 from .errors import DataError, ExplanationError, ModelError, NoEnemiesError
 
 __all__ = [
@@ -114,7 +114,7 @@ def check_instance(z, d: int) -> np.ndarray:
     """A new float64 array of ``z``'s values, of shape ``(d,)``;
     ExplanationError on any other shape or on a non-finite value.  The copy
     keeps a later write to the caller's array out of an explanation."""
-    z = np.array(z, dtype=np.float64)
+    z = float_array(z, "instance", ExplanationError).copy()
     if z.shape != (d,):
         raise ExplanationError(f"instance has shape {z.shape}, expected ({d},)")
     if not np.all(np.isfinite(z)):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, LeafageError
 
 __all__ = [
     "Dataset",
@@ -64,7 +64,7 @@ class Dataset:
             object.__setattr__(self, attr, _name_list(attr, getattr(self, attr)))
         # Own copies: a later write to the caller's arrays cannot reach a
         # validated Dataset.
-        features = np.array(self.features, dtype=np.float64, order="C")
+        features = float_array(self.features, "features", DataError).copy()
         labels = np.array(self.labels)
         if features.ndim != 2:
             raise DataError("feature matrix must be two-dimensional")
@@ -128,13 +128,13 @@ class Standardizer:
 
     def __post_init__(self) -> None:
         for attr in ("means", "scales"):
-            values = np.array(getattr(self, attr), dtype=np.float64)
+            values = float_array(getattr(self, attr), attr, DataError).copy()
             values.setflags(write=False)
             object.__setattr__(self, attr, values)
 
     @classmethod
     def fit(cls, features: np.ndarray) -> "Standardizer":
-        features = np.asarray(features, dtype=np.float64)
+        features = float_array(features, "features", DataError)
         if features.shape[0] == 0:
             raise DataError("cannot standardize zero rows")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -151,7 +151,7 @@ class Standardizer:
 
     def transform(self, features: np.ndarray) -> np.ndarray:
         """Standardize a row or a batch whose last axis has the fitted width."""
-        features = np.asarray(features, dtype=np.float64)
+        features = float_array(features, "features", DataError)
         width = features.shape[-1] if features.ndim else 0
         if width != self.means.size:
             raise DataError(
@@ -159,6 +159,18 @@ class Standardizer:
                 f"{self.means.size}"
             )
         return (features - self.means) / self.scales
+
+
+def float_array(values, what: str, error: type[LeafageError]) -> np.ndarray:
+    """``values`` as a float64 array, not copied when it is one already; a
+    value numpy cannot convert (a string, a complex number, a ragged
+    nesting, an integer beyond a double's range) raises ``error``."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise error(
+            f"{what} must be numeric: real numbers that fit in a double"
+        ) from None
 
 
 def is_integer(value) -> bool:

@@ -25,7 +25,7 @@ from .core import (
     fit_local_linear,
     sample_local_training_set,
 )
-from .data import Dataset, check_fraction
+from .data import Dataset, check_fraction, check_integer
 from .errors import DataError, NoEnemiesError
 from .lime import LimeConfig, QuartileBins, lime_fit, lime_quartile_fit
 
@@ -210,25 +210,25 @@ def wilcoxon_signed_rank(a: np.ndarray, b: np.ndarray) -> WilcoxonResult:
 
 
 def fidelity_sphere(
-    features: np.ndarray, predicted: np.ndarray, z_index: int, p: float
+    features: np.ndarray, enemy_rows: np.ndarray, z_index: int, p: float
 ) -> np.ndarray:
     """Indices of test rows inside the per-instance evaluation ball.
 
-    The radius reaches the ceil(p * n_enemy)-th nearest row whose
-    predicted label differs from the centre's.  The centre itself is
-    excluded; the ball is closed.  ``p`` lies strictly between 0 and 1.
+    The radius reaches the ceil(p * n_enemy)-th nearest of ``enemy_rows``,
+    the rows predicted unlike the centre ``z_index``.  The centre itself
+    is excluded; the ball is closed.  ``p`` lies strictly between 0 and 1.
     """
     check_fraction("p", p)
-    predicted = np.asarray(predicted)
-    dist = _euclidean(features, features[z_index])
-    others = np.arange(features.shape[0]) != z_index
-    enemy = (predicted != predicted[z_index]) & others
-    n_enemy = int(enemy.sum())
-    if n_enemy == 0:
+    check_integer("z_index", z_index)
+    if not 0 <= z_index < features.shape[0]:
+        raise DataError(f"z_index {z_index} out of range 0..{features.shape[0] - 1}")
+    if len(enemy_rows) == 0:
         raise NoEnemiesError("no test instance has the opposite predicted label")
-    k = math.ceil(p * n_enemy) - 1
-    radius = np.partition(dist[enemy], k)[k]
-    return np.flatnonzero((dist <= radius) & others)
+    dist = _euclidean(features, features[z_index])
+    k = math.ceil(p * len(enemy_rows)) - 1
+    radius = np.partition(dist[enemy_rows], k)[k]
+    ball = np.flatnonzero(dist <= radius)
+    return ball[ball != z_index]
 
 
 def run_setting(
@@ -253,10 +253,10 @@ def run_setting(
     every later one from that first solution, a warm start that saves
     Newton steps; a warm solution agrees with the cold one to within the
     solver's step tolerance, and does not depend on the order of the later
-    instances.  Skips (no test enemies, a single-class sphere, or no
-    training row predicted unlike the instance) are shared by all
-    strategies, so the per-instance vectors stay aligned for paired
-    significance testing.
+    instances.  An instance is skipped when no test row or no training
+    row is predicted unlike it, or else when its sphere holds a single
+    predicted class.  Skips are shared by all strategies, so the
+    per-instance vectors stay aligned for paired significance testing.
     """
     for strategy in strategies:
         if strategy not in KNOWN_STRATEGIES:
@@ -295,23 +295,21 @@ def run_setting(
         QuartileBins.fit(X_train) if "lime-quartile" in strategies else None
     )
 
+    test_rows = (np.flatnonzero(pred_test == 0), np.flatnonzero(pred_test == 1))
     surrogates: dict[int, LocalSurrogate] = {}
     starts: dict[str, np.ndarray] = {}
     scores = {s: np.full(test.n, np.nan) for s in strategies}
     for i in range(test.n):
-        try:
-            sphere = fidelity_sphere(X_test, pred_test, i, fidelity_cfg.p)
-        except NoEnemiesError:
+        c_z = int(pred_test[i])
+        test_enemies, enemy_rows = test_rows[1 - c_z], class_rows[1 - c_z]
+        if test_enemies.size == 0 or enemy_rows.size == 0:
+            continue
+        sphere = fidelity_sphere(X_test, test_enemies, i, fidelity_cfg.p)
+        sphere_labels = pred_test[sphere] == 1
+        if sphere_labels.all() or not sphere_labels.any():
             continue
         sphere_rows = X_test[sphere]
-        sphere_labels = pred_test[sphere]
-        if (sphere_labels == 1).all() or (sphere_labels == 0).all():
-            continue
         z = X_test[i]
-        c_z = int(pred_test[i])
-        enemy_rows = class_rows[1 - c_z]
-        if enemy_rows.size == 0:
-            continue
         for strategy in strategies:
             if strategy == "baseline":
                 scores[strategy][i] = 0.5
@@ -334,7 +332,7 @@ def run_setting(
                     surrogate = lime_quartile_fit(model, quartile_bins, z, cfg_i, start)
                 if strategy not in starts:
                     starts[strategy] = np.append(surrogate.weights, surrogate.intercept)
-            scores[strategy][i] = auc(sphere_labels == 1, surrogate.score(sphere_rows))
+            scores[strategy][i] = auc(sphere_labels, surrogate.score(sphere_rows))
 
     positive = train.class_names[1]
     return [

@@ -11,6 +11,7 @@ import abc
 
 import numpy as np
 
+from ..data import float_array
 from ..errors import ModelError
 
 
@@ -73,7 +74,7 @@ def check_matrix(rows: np.ndarray, n_features: int) -> np.ndarray:
     BLAS rounds a product over a Fortran-ordered batch differently, so a
     row on a linear model's boundary could change label with the layout.
     """
-    rows = np.asarray(rows, dtype=np.float64)
+    rows = float_array(rows, "batch rows", ModelError)
     if rows.ndim != 2:
         raise ModelError(f"expected a 2-d batch of rows, got shape {rows.shape}")
     if rows.shape[1] != n_features:
@@ -93,10 +94,7 @@ def check_training_set(
     The rows must form a finite numeric 2-d array with one binary label
     per row, both classes present.
     """
-    try:
-        X = np.array(features, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ModelError("training features must be numeric") from None
+    X = float_array(features, "training features", ModelError).copy()
     labels = np.asarray(labels)
     if X.ndim != 2:
         raise ModelError(f"training features must be 2-d, got shape {X.shape}")

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leafage import models
+from leafage.core import explain
 from leafage.data import (
     Dataset,
     SplitSpec,
@@ -18,7 +20,7 @@ from leafage.data import (
     standardized,
     train_test_split,
 )
-from leafage.errors import DataError
+from leafage.errors import DataError, ExplanationError, ModelError
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -450,3 +452,39 @@ class TestDatasetInvariants:
         assert ds.features.tolist() == [[0.0, 1.0], [2.0, 3.0]]
         assert ds.labels.tolist() == [0, 1]
         assert not ds.features.flags.writeable and not ds.labels.flags.writeable
+
+
+# Each public entry point that converts numbers, with the error it documents.
+NUMERIC_ENTRY_POINTS = {
+    "explain": ExplanationError,
+    "Dataset": DataError,
+    "Standardizer.fit": DataError,
+    "Standardizer.transform": DataError,
+    "TrainedModel.fit": ModelError,
+    "predict_labels": ModelError,
+}
+
+
+@pytest.mark.parametrize(
+    "bad", ["a", 10**400, 1 + 2j, [0.0, 1.0]],
+    ids=["string", "huge-int", "complex", "ragged"],
+)
+@pytest.mark.parametrize("entry", NUMERIC_ENTRY_POINTS)
+def test_unconvertible_value_raises_the_documented_error(entry, bad):
+    ds = generate_artificial(10, seed=0)
+    fitted = models.fit_on_standardized("lr", ds, seed=0)
+    row = [bad, 0.0]
+    rows = [row, [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
+    labels = [0, 1, 0, 1]
+    calls = {
+        "explain": lambda: explain(
+            fitted.model, ds, row, standardizer=fitted.standardizer
+        ),
+        "Dataset": lambda: Dataset(rows, labels, ["x1", "x2"], ["A", "B"]),
+        "Standardizer.fit": lambda: Standardizer.fit(rows),
+        "Standardizer.transform": lambda: fitted.standardizer.transform(row),
+        "TrainedModel.fit": lambda: models.ALGORITHMS["lr"]().fit(rows, labels),
+        "predict_labels": lambda: fitted.model.predict_labels(rows),
+    }
+    with pytest.raises(NUMERIC_ENTRY_POINTS[entry], match="numeric"):
+        calls[entry]()

@@ -13,8 +13,10 @@ stalls, give that fit's bits.  ``run_setting`` fits one
 surrogate per distinct closest enemy, records ``baseline`` as 0.5, starts
 each LIME fit after a strategy's first from that first solution, and
 counts AUC pairs by binary search; the per-instance loop kept here refits
-every instance from zero and ranks every AUC, and ``run_setting``'s AUCs
-must still equal its bit for bit.
+every instance from zero, draws every sphere from label masks and ranks
+every AUC, and ``run_setting``'s AUCs must still equal its bit for bit.
+``fidelity_sphere`` takes the centre's enemy rows and must give the rows
+of the label-mask sphere.
 """
 import dataclasses
 import math
@@ -396,6 +398,57 @@ class TestAuc:
             assert auc(labels, scores) == reference_auc(labels, scores) == 0.5
 
 
+def reference_fidelity_sphere(features, predicted, z_index, p):
+    """The sphere from label masks over every row: the radius reaches the
+    ceil(p * n_enemy)-th nearest row predicted unlike the centre, and the
+    closed ball leaves out the centre."""
+    predicted = np.asarray(predicted)
+    dist = reference_euclidean(features, features[z_index])
+    others = np.arange(features.shape[0]) != z_index
+    enemy = (predicted != predicted[z_index]) & others
+    n_enemy = int(enemy.sum())
+    if n_enemy == 0:
+        raise NoEnemiesError("no test instance has the opposite predicted label")
+    k = math.ceil(p * n_enemy) - 1
+    radius = np.partition(dist[enemy], k)[k]
+    return np.flatnonzero((dist <= radius) & others)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_fidelity_sphere_equals_label_masks(data):
+    n = data.draw(st.integers(2, 40))
+    d = data.draw(st.integers(1, 3))
+    # Few distinct values, so rows repeat and distances tie at the radius.
+    value = st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | st.floats(-10, 10)
+    row = st.lists(value, min_size=d, max_size=d)
+    features = np.array(data.draw(st.lists(row, min_size=n, max_size=n)))
+    label = st.integers(0, 1)
+    predicted = np.array(data.draw(st.lists(label, min_size=n, max_size=n)))
+    z = data.draw(st.integers(0, n - 1))
+    if data.draw(st.booleans()):
+        # Only one to three rows are predicted unlike the centre.
+        others = st.sampled_from([i for i in range(n) if i != z])
+        few = data.draw(st.lists(others, min_size=1, max_size=3, unique=True))
+        predicted[:] = predicted[z]
+        predicted[few] = 1 - predicted[z]
+    p = data.draw(
+        st.sampled_from([1e-12, 0.5, 0.95, 1 - 1e-12])
+        | st.floats(0, 1, exclude_min=True, exclude_max=True)
+    )
+    enemies = class_rows(predicted)[1 - predicted[z]]
+    if enemies.size == 0:
+        with pytest.raises(NoEnemiesError):
+            fidelity_sphere(features, enemies, z, p)
+        with pytest.raises(NoEnemiesError):
+            reference_fidelity_sphere(features, predicted, z, p)
+        return
+    assert (
+        fidelity_sphere(features, enemies, z, p).tobytes()
+        == reference_fidelity_sphere(features, predicted, z, p).tobytes()
+    )
+
+
 def reference_run_setting(train, test, classifier, leafage_cfg, lime_cfg, p):
     """Every strategy's per-instance AUCs with a fresh local set and fit
     for every test row, a zero-weight ``baseline`` surrogate, and every
@@ -410,7 +463,7 @@ def reference_run_setting(train, test, classifier, leafage_cfg, lime_cfg, p):
     scores = {s: np.full(test.n, np.nan) for s in KNOWN_STRATEGIES}
     for i in range(test.n):
         try:
-            sphere = fidelity_sphere(X_test, pred_test, i, p)
+            sphere = reference_fidelity_sphere(X_test, pred_test, i, p)
         except NoEnemiesError:
             continue
         labels = pred_test[sphere] == 1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FixedLinearModel, blob_dataset
+from conftest import FixedLinearModel, blob_dataset, class_rows
 from leafage import evaluation, models
 from leafage.core import LocalSurrogate, explain
 from leafage.data import Dataset, SplitSpec, generate_artificial, train_test_split
@@ -255,7 +255,7 @@ class TestFidelitySphere:
 
     def test_radius_is_19th_nearest_enemy(self):
         features, predicted = self.line_geometry()
-        sphere = fidelity_sphere(features, predicted, 0, 0.95)
+        sphere = fidelity_sphere(features, class_rows(predicted)[0], 0, 0.95)
         dist = np.linalg.norm(features[sphere], axis=1)
         enemy_dist = dist[predicted[sphere] == 0]
         assert enemy_dist.max() == 19.0  # ceil(0.95 * 20) = 19
@@ -264,41 +264,59 @@ class TestFidelitySphere:
 
     def test_p_near_one_includes_all_enemies(self):
         features, predicted = self.line_geometry()
-        sphere = fidelity_sphere(features, predicted, 0, 0.999)
+        sphere = fidelity_sphere(features, class_rows(predicted)[0], 0, 0.999)
         assert (predicted[sphere] == 0).sum() == 20
 
     def test_single_enemy(self):
         features, predicted = self.line_geometry(n_enemies=1)
-        sphere = fidelity_sphere(features, predicted, 0, 0.95)
+        sphere = fidelity_sphere(features, class_rows(predicted)[0], 0, 0.95)
         assert (predicted[sphere] == 0).sum() == 1  # ceil(0.95 * 1) = 1
 
     def test_no_enemy_raises(self):
         features = np.random.default_rng(0).normal(size=(5, 2))
         with pytest.raises(NoEnemiesError):
-            fidelity_sphere(features, np.ones(5, dtype=int), 0, 0.95)
+            fidelity_sphere(features, class_rows(np.ones(5, dtype=int))[0], 0, 0.95)
 
     def test_shrinking_p_shrinks_sphere(self):
         rng = np.random.default_rng(3)
         features = rng.normal(size=(60, 2))
         predicted = rng.integers(0, 2, size=60)
+        enemies = class_rows(predicted)[1 - predicted[4]]
         previous = None
         for p in (0.95, 0.7, 0.4, 0.2):
-            sphere = set(fidelity_sphere(features, predicted, 4, p).tolist())
+            sphere = set(fidelity_sphere(features, enemies, 4, p).tolist())
             if previous is not None:
                 assert sphere <= previous
             previous = sphere
 
     def test_allies_inside_radius_included(self):
         features, predicted = self.line_geometry()
-        sphere = fidelity_sphere(features, predicted, 0, 0.95)
+        sphere = fidelity_sphere(features, class_rows(predicted)[0], 0, 0.95)
         assert (predicted[sphere] == 1).sum() == 5  # all allies are close
 
     @pytest.mark.parametrize("p", [0.0, 1.0, 1.5, -0.5, math.nan, "0.5", None])
     def test_p_outside_open_unit_interval_rejected(self, p):
         features = np.random.default_rng(1).standard_normal((200, 2))
         predicted = (features[:, 0] > 0).astype(np.int64)
+        enemies = class_rows(predicted)[1 - predicted[0]]
         with pytest.raises(DataError, match="p must lie strictly between 0 and 1"):
-            fidelity_sphere(features, predicted, 0, p)
+            fidelity_sphere(features, enemies, 0, p)
+
+    @pytest.mark.parametrize(
+        "z_index, message",
+        [
+            (-1, "out of range"),
+            (4, "out of range"),
+            (1.0, "must be an integer"),
+            (True, "must be an integer"),
+            (None, "must be an integer"),
+        ],
+    )
+    def test_centre_outside_the_rows_rejected(self, z_index, message):
+        features = np.arange(8.0).reshape(4, 2)
+        enemies = class_rows([0, 1, 0, 1])[0]
+        with pytest.raises(DataError, match=f"z_index .*{message}"):
+            fidelity_sphere(features, enemies, z_index, 0.5)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=100, deadline=None)
@@ -308,12 +326,13 @@ class TestFidelitySphere:
         features = rng.normal(size=(n, 2))
         predicted = rng.integers(0, 2, size=n)
         z = int(rng.integers(0, n))
+        enemies = class_rows(predicted)[1 - predicted[z]]
         enemies_exist = np.any(predicted[np.arange(n) != z] != predicted[z])
         if not enemies_exist:
             with pytest.raises(NoEnemiesError):
-                fidelity_sphere(features, predicted, z, 0.95)
+                fidelity_sphere(features, enemies, z, 0.95)
             return
-        sphere = fidelity_sphere(features, predicted, z, 0.95)
+        sphere = fidelity_sphere(features, enemies, z, 0.95)
         assert np.any(predicted[sphere] != predicted[z])
         assert z not in sphere
 
