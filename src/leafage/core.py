@@ -17,6 +17,7 @@ distance ``inf``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
 import weakref
 
 import numpy as np
@@ -532,25 +533,26 @@ def explain(
         allies, enemies = retrieve_examples(
             X_std, distances, ally_rows, enemy_rows, surrogate, z_std, cfg.k_examples
         )
-    if not np.all(np.isfinite([*importances, *(b for _, b in allies + enemies)])):
+    pairs = allies + enemies
+    if not (np.isfinite(importances).all() and all(math.isfinite(b) for _, b in pairs)):
         raise ExplanationError(too_far.format("an importance or a dissimilarity"))
     if len(allies) < cfg.k_examples:
         flags.append("ally_shortfall")
     if len(enemies) < cfg.k_examples:
         flags.append("enemy_shortfall")
 
-    def resolve(pairs: list[tuple[int, float]]) -> list[Example]:
-        return [
-            Example(index=i, features=train.features[i].copy(), dissimilarity=b)
-            for i, b in pairs
-        ]
-
+    # One gather copies every returned row; each example holds a row of it.
+    example_rows = train.features[[i for i, _ in pairs]]
+    examples = [
+        Example(index=i, features=row, dissimilarity=b)
+        for (i, b), row in zip(pairs, example_rows)
+    ]
     return Explanation(
         test_instance=z,
         predicted_class=train.class_names[c_z],
         importances=importances,
-        allies=resolve(allies),
-        enemies=resolve(enemies),
+        allies=examples[: len(allies)],
+        enemies=examples[len(allies) :],
         surrogate=surrogate,
         flags=tuple(sorted(set(flags))),
     )

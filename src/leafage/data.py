@@ -162,15 +162,26 @@ class Standardizer:
 
 
 def float_array(values, what: str, error: type[LeafageError]) -> np.ndarray:
-    """``values`` as a float64 array, not copied when it is one already; a
-    value numpy cannot convert (a string, a complex number, a ragged
-    nesting, an integer beyond a double's range) raises ``error``."""
+    """``values`` as a float64 array, not copied when it is one already.
+
+    Only real numbers convert: an ndarray must hold integers or floats,
+    and every element of other input must pass :func:`is_real`.  Anything
+    else (a string, a bool, a complex number, a ragged nesting, an integer
+    beyond a double's range) raises ``error``.
+    """
     try:
-        return np.asarray(values, dtype=np.float64)
+        if isinstance(values, np.ndarray):
+            if values.dtype.kind in "iuf":
+                return np.asarray(values, dtype=np.float64)
+        else:
+            elements = np.asarray(values, dtype=object)
+            # is_real of every element, decided once per distinct type.
+            kinds = set(map(type, elements.flat))
+            if all(issubclass(k, numbers.Real) and k is not bool for k in kinds):
+                return elements.astype(np.float64)
     except (TypeError, ValueError, OverflowError):
-        raise error(
-            f"{what} must be numeric: real numbers that fit in a double"
-        ) from None
+        pass
+    raise error(f"{what} must be numeric: real numbers that fit in a double")
 
 
 def is_integer(value) -> bool:

@@ -19,13 +19,14 @@ once, which keeps the fidelity experiments (thousands of predicted rows
 per explained instance) fast.  A forest whose grid would exceed
 ``GRID_MAX_CELLS`` cells skips the table and routes whole batches through
 the node arrays instead, level by level; a single row walks each tree
-node to node.  That traversal is also the reference the grid is tested
-against.
+node to node through memoryviews of its node arrays kept since fit, so a
+walk builds none.  That traversal is also the reference the grid is
+tested against.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,13 +40,26 @@ GRID_MAX_CELLS = 1 << 20
 
 @dataclass(frozen=True, slots=True)
 class _Tree:
-    """Flat node arrays: feature < 0 marks a leaf."""
+    """Flat node arrays: feature < 0 marks a leaf.
+
+    ``views`` holds a memoryview of each array, in field order, built once
+    for :meth:`walk`.  Memoryviews cannot be pickled, so a pickled tree
+    carries its arrays alone and rebuilds the views when loaded.
+    """
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
     right: np.ndarray
     prob: np.ndarray
+    views: tuple[memoryview, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        arrays = self.feature, self.threshold, self.left, self.right, self.prob
+        object.__setattr__(self, "views", tuple(map(memoryview, arrays)))
+
+    def __reduce__(self):
+        return _Tree, tuple(view.obj for view in self.views)
 
     def predict_prob(self, rows: np.ndarray) -> np.ndarray:
         node = np.zeros(rows.shape[0], dtype=np.int64)
@@ -62,14 +76,13 @@ class _Tree:
 
     def walk(self, row: list[float]) -> float:
         """Leaf probability of one row, given as Python floats, by one
-        node-to-node walk; ``x < t`` decides each split as in
-        ``predict_prob``.  The memoryviews read the arrays without copies."""
-        feature, threshold = memoryview(self.feature), memoryview(self.threshold)
-        left, right = memoryview(self.left), memoryview(self.right)
+        node-to-node walk over the kept views; ``x < t`` decides each split
+        as in ``predict_prob``."""
+        feature, threshold, left, right, prob = self.views
         node = 0
         while (f := feature[node]) >= 0:
             node = left[node] if row[f] < threshold[node] else right[node]
-        return memoryview(self.prob)[node]
+        return prob[node]
 
 
 def _best_split(

@@ -94,40 +94,53 @@ def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _check_number(value, what: str) -> None:
-    """``value`` is a number that converts to a finite double."""
+def _number_problem(value) -> str | None:
+    """Why ``value`` is not a number that converts to a finite double, or
+    None when it is one."""
+    if type(value) is float:  # the usual value: no isinstance checks
+        return None if math.isfinite(value) else "is a non-finite number"
     if not is_number(value):
-        raise DataError(f"{what} must be a number")
+        return "must be a number"
     try:
         finite = math.isfinite(value)
     except OverflowError:  # an int too large to convert to a double
         finite = False
-    if not finite:
-        raise DataError(f"{what} is a non-finite number")
+    return None if finite else "is a non-finite number"
 
 
 def _check_feature_values(features: dict, where: str) -> None:
     for key, value in features.items():
-        _check_number(value, f"{where}: feature {key!r}")
+        problem = _number_problem(value)
+        if problem:
+            raise DataError(f"{where}: feature {key!r} {problem}")
+
+
+def _field_problem(value, kind: type) -> str | None:
+    """Why ``value`` does not fit a field of type ``kind``, or None."""
+    if kind is float:
+        return _number_problem(value)
+    if kind is int:
+        if not isinstance(value, int) or isinstance(value, bool):
+            return "must be an integer"
+        return _number_problem(value)
+    return None if isinstance(value, kind) else f"must be {kind.__name__}"
 
 
 def _check_fields(obj: dict, spec: dict, where: str) -> None:
+    """``obj`` is a dict with exactly ``spec``'s fields, each of its type.
+    A message is formatted only for the first problem, which raises."""
     if not isinstance(obj, dict):
         raise DataError(f"{where} must be an object")
-    unknown = set(obj) - set(spec)
-    if unknown:
-        raise DataError(f"{where}: unknown fields {sorted(unknown)}")
+    if obj.keys() != spec.keys():
+        unknown = obj.keys() - spec.keys()
+        if unknown:
+            raise DataError(f"{where}: unknown fields {sorted(unknown)}")
     for key, kind in spec.items():
         if key not in obj:
             raise DataError(f"{where}: missing field {key!r}")
-        value = obj[key]
-        what = f"{where}: field {key!r}"
-        if kind is int and (not isinstance(value, int) or isinstance(value, bool)):
-            raise DataError(f"{what} must be an integer")
-        if kind is int or kind is float:
-            _check_number(value, what)
-        elif not isinstance(value, kind):
-            raise DataError(f"{what} must be {kind.__name__}")
+        problem = _field_problem(obj[key], kind)
+        if problem:
+            raise DataError(f"{where}: field {key!r} {problem}")
 
 
 def validate_report(report: dict) -> dict:
@@ -154,11 +167,12 @@ def validate_report(report: dict) -> dict:
     if [e["rank"] for e in importances] != ranks:
         raise DataError("importance ranks must be the permutation ordering importances")
     for section in ("allies", "enemies"):
+        where = f"{section} entry"
         for entry in report[section]:
-            _check_fields(entry, _EXAMPLE_FIELDS, f"{section} entry")
+            _check_fields(entry, _EXAMPLE_FIELDS, where)
             if entry["features"].keys() != instance.keys():
-                raise DataError(f"{section} entry: features must match the instance's")
-            _check_feature_values(entry["features"], f"{section} entry")
+                raise DataError(f"{where}: features must match the instance's")
+            _check_feature_values(entry["features"], where)
     for flag in report["flags"]:
         if not isinstance(flag, str):
             raise DataError("flags must be strings")
@@ -201,20 +215,23 @@ _BOLD = 'font-weight="bold"'
 
 
 def _text(x, y, text: str, style: str = "") -> str:
-    """One escaped 12-pt text element; ``style`` adds attributes."""
+    """One 12-pt text element of ``text``, which holds no markup: a name
+    from the report passes through :func:`_escape` first, while a number
+    cell of :func:`_fmt` cannot hold ``&``, ``<`` or ``>``.  ``style`` adds
+    attributes."""
     font = f"{_FONT} {style}" if style else _FONT
-    return f'<text x="{x}" y="{y}" {font}>{_escape(text)}</text>'
+    return f'<text x="{x}" y="{y}" {font}>{text}</text>'
 
 
 def _table(
     x: int, y: int, title: str, columns: list[str], rows: list[list[str]]
 ) -> tuple[list[str], int]:
     col_w = 88
-    parts = [_text(x, y, title, _BOLD)]
+    parts = [_text(x, y, _escape(title), _BOLD)]
     y += 8
     for j, col in enumerate(columns):
         parts.append(
-            _text(x + j * col_w, y + _ROW_H - 8, col, 'font-style="italic"')
+            _text(x + j * col_w, y + _ROW_H - 8, _escape(col), 'font-style="italic"')
         )
     for i, row in enumerate(rows):
         ry = y + (i + 1) * _ROW_H
@@ -241,7 +258,7 @@ def render_svg(report: dict) -> str:
     y = 56
     if report["flags"]:
         banner = "flags: " + ", ".join(report["flags"])
-        parts.append(_text(16, y, banner, 'fill="#a84444"'))
+        parts.append(_text(16, y, _escape(banner), 'fill="#a84444"'))
         y += 28
 
     entries = sorted(report["importances"], key=lambda e: e["rank"])
@@ -253,7 +270,7 @@ def render_svg(report: dict) -> str:
     if max_importance > 0.0:
         for e in entries:
             bar = 220.0 * e["importance"] / max_importance
-            label = f'{e["feature"]} = {_fmt(e["value"])}'
+            label = f'{_escape(e["feature"])} = {_fmt(e["value"])}'
             parts.append(_text(16, y + _ROW_H - 8, label))
             parts.append(
                 f'<rect x="140" y="{y + 6}" width="{bar:.1f}" height="12" '

@@ -466,15 +466,28 @@ NUMERIC_ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize(
-    "bad", ["a", 10**400, 1 + 2j, [0.0, 1.0]],
-    ids=["string", "huge-int", "complex", "ragged"],
+    "bad",
+    [
+        "a", 10**400, 1 + 2j, [0.0, 1.0], "0.5", True,
+        np.array([1 + 2j, 0.0]), np.array([True, False]), np.array(["0.5", "0.0"]),
+    ],
+    ids=[
+        "string", "huge-int", "complex", "ragged", "numeric-string", "bool",
+        "complex-array", "bool-array", "string-array",
+    ],
 )
 @pytest.mark.parametrize("entry", NUMERIC_ENTRY_POINTS)
 def test_unconvertible_value_raises_the_documented_error(entry, bad):
+    """Only real numbers convert.  ``bad`` is a row's first value, or the
+    whole row when it is an array; a batch of array rows is an array of
+    the same dtype."""
     ds = generate_artificial(10, seed=0)
     fitted = models.fit_on_standardized("lr", ds, seed=0)
-    row = [bad, 0.0]
-    rows = [row, [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
+    if isinstance(bad, np.ndarray):
+        row, rows = bad, np.stack([bad] * 4)
+    else:
+        row = [bad, 0.0]
+        rows = [row, [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
     labels = [0, 1, 0, 1]
     calls = {
         "explain": lambda: explain(

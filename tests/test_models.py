@@ -1,4 +1,5 @@
 import math
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -375,6 +376,45 @@ class TestOneRowWalk:
         model, X = over_cap_forest
         assert model._grid is None
         self.check_rows_one_at_a_time(model, edge_rows(data, model, X))
+
+
+class TestPickledForest:
+    """A pickled forest carries its node arrays alone; loading rebuilds the
+    memoryviews the one-row walk reads."""
+
+    @pytest.mark.parametrize("algorithm", ["rf", "dt"])
+    @pytest.mark.parametrize("over_the_cap", [False, True])
+    def test_round_trip_predicts_bit_identically(
+        self, monkeypatch, algorithm, over_the_cap
+    ):
+        if over_the_cap:
+            monkeypatch.setattr(tree, "GRID_MAX_CELLS", 0)
+        ds = generate_artificial(100, seed=4)
+        model = models.ALGORITHMS[algorithm]().fit(ds.features, ds.labels, seed=3)
+        assert (model._grid is None) == over_the_cap
+        loaded = pickle.loads(pickle.dumps(model))
+        rows = np.random.default_rng(5).normal(size=(300, 2)) * 2.0
+        rows[:50] = np.random.default_rng(6).choice(thresholds(model), size=(50, 2))
+        rows[50:55], rows[55:60], rows[60:65] = np.nan, np.inf, -np.inf
+        for batch in [rows, *rows[:80, None, :]]:
+            assert np.array_equal(
+                loaded._scores(batch).view(np.uint64),
+                model._scores(batch).view(np.uint64),
+            )
+            assert np.array_equal(
+                loaded.predict_labels(batch), model.predict_labels(batch)
+            )
+
+    @given(tree_training_sets(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_loaded_walk_equals_predict_prob(self, case, data):
+        algorithm, X, y, seed = case
+        model = models.ALGORITHMS[algorithm]().fit(X, y, seed=seed)
+        rows = edge_rows(data, model, X)
+        for trained in pickle.loads(pickle.dumps(model))._trees:
+            walked = np.array([trained.walk(row) for row in rows.tolist()])
+            batch = trained.predict_prob(rows)
+            assert np.array_equal(walked.view(np.uint64), batch.view(np.uint64))
 
 
 class TestKNN:

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -12,6 +13,7 @@ from leafage.core import Explanation, LeafageConfig, explain
 from leafage.data import Dataset, generate_artificial
 from leafage.errors import DataError
 from leafage.models import fit_on_standardized
+from leafage import report as report_module
 from leafage.report import (
     SCHEMA_VERSION,
     build_report,
@@ -336,3 +338,277 @@ class TestSvg:
             golden_svg.write_text(svg)
         assert load_report(str(golden_json)) == report
         assert golden_svg.read_text() == svg
+
+
+# The slow reference for the report layer: validate_report and render_svg
+# as they were before the validator formatted messages only on failure and
+# the SVG stopped escaping number cells.  The field specs, the rank rule,
+# the number format and the layout constants are the module's own.
+def _reference_check_number(value, what: str) -> None:
+    if not report_module.is_number(value):
+        raise DataError(f"{what} must be a number")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise DataError(f"{what} is a non-finite number")
+
+
+def _reference_check_feature_values(features: dict, where: str) -> None:
+    for key, value in features.items():
+        _reference_check_number(value, f"{where}: feature {key!r}")
+
+
+def _reference_check_fields(obj: dict, spec: dict, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise DataError(f"{where} must be an object")
+    unknown = set(obj) - set(spec)
+    if unknown:
+        raise DataError(f"{where}: unknown fields {sorted(unknown)}")
+    for key, kind in spec.items():
+        if key not in obj:
+            raise DataError(f"{where}: missing field {key!r}")
+        value = obj[key]
+        what = f"{where}: field {key!r}"
+        if kind is int and (not isinstance(value, int) or isinstance(value, bool)):
+            raise DataError(f"{what} must be an integer")
+        if kind is int or kind is float:
+            _reference_check_number(value, what)
+        elif not isinstance(value, kind):
+            raise DataError(f"{what} must be {kind.__name__}")
+
+
+def reference_validate_report(report: dict) -> dict:
+    _reference_check_fields(report, report_module._TOP_LEVEL_FIELDS, "report")
+    if report["schema_version"] != SCHEMA_VERSION:
+        raise DataError(
+            f"unsupported schema_version {report['schema_version']}, "
+            f"expected {SCHEMA_VERSION}"
+        )
+    instance = report["instance"]
+    _reference_check_feature_values(instance, "instance")
+    importances = report["importances"]
+    for entry in importances:
+        _reference_check_fields(
+            entry, report_module._IMPORTANCE_FIELDS, "importances entry"
+        )
+        if entry["importance"] < 0:
+            raise DataError("importances entry: field 'importance' is negative")
+    if sorted(e["feature"] for e in importances) != sorted(instance):
+        raise DataError("importances must name each instance feature exactly once")
+    if any(e["value"] != instance[e["feature"]] for e in importances):
+        raise DataError("importance values must equal the instance's")
+    ranks = report_module._ranks([e["importance"] for e in importances])
+    if [e["rank"] for e in importances] != ranks:
+        raise DataError("importance ranks must be the permutation ordering importances")
+    for section in ("allies", "enemies"):
+        for entry in report[section]:
+            _reference_check_fields(
+                entry, report_module._EXAMPLE_FIELDS, f"{section} entry"
+            )
+            if entry["features"].keys() != instance.keys():
+                raise DataError(f"{section} entry: features must match the instance's")
+            _reference_check_feature_values(entry["features"], f"{section} entry")
+    for flag in report["flags"]:
+        if not isinstance(flag, str):
+            raise DataError("flags must be strings")
+    return report
+
+
+def _reference_text(x, y, text: str, style: str = "") -> str:
+    font = f"{report_module._FONT} {style}" if style else report_module._FONT
+    return f'<text x="{x}" y="{y}" {font}>{report_module._escape(text)}</text>'
+
+
+def _reference_table(x, y, title, columns, rows):
+    row_h, col_w = report_module._ROW_H, 88
+    parts = [_reference_text(x, y, title, report_module._BOLD)]
+    y += 8
+    for j, col in enumerate(columns):
+        parts.append(
+            _reference_text(x + j * col_w, y + row_h - 8, col, 'font-style="italic"')
+        )
+    for i, row in enumerate(rows):
+        ry = y + (i + 1) * row_h
+        for j, cell in enumerate(row):
+            parts.append(_reference_text(x + j * col_w, ry + row_h - 8, cell))
+    return parts, y + (len(rows) + 1) * row_h + 16
+
+
+def reference_render_svg(report: dict) -> str:
+    reference_validate_report(report)
+    fmt, escape, text = report_module._fmt, report_module._escape, _reference_text
+    row_h, bold = report_module._ROW_H, report_module._BOLD
+    names = list(report["instance"].keys())
+    columns = names + ["dissimilarity"]
+    table_x = 360
+    width = max(720, table_x + 88 * len(columns) + 24)
+    parts = [
+        f'<text x="16" y="24" font-family="monospace" font-size="15" '
+        f'font-weight="bold">'
+        f'Prediction: {escape(str(report["predicted_class"]))} '
+        f'({escape(str(report["model"]))} on {escape(str(report["dataset"]))})</text>'
+    ]
+    y = 56
+    if report["flags"]:
+        banner = "flags: " + ", ".join(report["flags"])
+        parts.append(text(16, y, banner, 'fill="#a84444"'))
+        y += 28
+    entries = sorted(report["importances"], key=lambda e: e["rank"])
+    max_importance = max((e["importance"] for e in entries), default=0.0)
+    parts.append(text(16, y, "Relative feature importance (standardized units)", bold))
+    y += 12
+    if max_importance > 0.0:
+        for e in entries:
+            bar = 220.0 * e["importance"] / max_importance
+            parts.append(text(16, y + row_h - 8, f'{e["feature"]} = {fmt(e["value"])}'))
+            parts.append(
+                f'<rect x="140" y="{y + 6}" width="{bar:.1f}" height="12" '
+                f'fill="{report_module._BAR_COLOR}"/>'
+            )
+            parts.append(
+                text(f"{140 + bar + 6:.1f}", y + row_h - 8, fmt(e["importance"]))
+            )
+            y += row_h
+    else:
+        parts.append(text(16, y + row_h - 8, "(importances unavailable)"))
+        y += row_h
+    left_bottom = y + 16
+
+    def rows_of(section):
+        return [
+            [fmt(entry["features"][n]) for n in names] + [fmt(entry["dissimilarity"])]
+            for entry in report[section]
+        ]
+
+    table_parts, y_allies = _reference_table(
+        table_x, 40, f'Most similar cases also predicted {report["predicted_class"]}',
+        columns, rows_of("allies"),
+    )
+    parts.extend(table_parts)
+    table_parts, right_bottom = _reference_table(
+        table_x, y_allies + 8, "Most similar cases with the opposite prediction",
+        columns, rows_of("enemies"),
+    )
+    parts.extend(table_parts)
+    height = max(left_bottom, right_bottom) + 8
+    body = "\n".join(parts)
+    return (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">\n'
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>\n'
+        f"{body}\n</svg>\n"
+    )
+
+
+def _outcome(validate, report):
+    """What ``validate`` does with ``report``: None when it passes, else
+    the exception's type and message."""
+    try:
+        validate(report)
+    except Exception as exc:  # the reference may fail in any way
+        return type(exc), str(exc)
+    return None
+
+
+def _containers(obj) -> list:
+    """``obj`` and every dict and list nested in it."""
+    found = [obj]
+    for value in obj.values() if isinstance(obj, dict) else obj:
+        if isinstance(value, (dict, list)):
+            found += _containers(value)
+    return found
+
+
+# Values a mutation writes: non-finite and huge numbers, bools, wrong
+# types, and values the report's own fields hold.
+_MUTANT_VALUES = st.one_of(
+    st.sampled_from([
+        math.nan, math.inf, -math.inf, 10**400, -(10**400), True, False, None,
+        "x1", "x2", "", 0, 1, 2, 3, -1, 0.0, -0.0, 0.5, -5.0, 1.0, 1e308,
+        [], {}, [1.0], ["ally_shortfall"], {"x1": 0.0, "x2": 1.0},
+        {"features": {"x1": 0.0, "x2": 1.0}, "dissimilarity": 0.5},
+    ]),
+    st.floats(),
+    st.integers(),
+).map(copy.deepcopy)  # a fresh object each time, so no mutation makes a cycle
+_MUTANT_KEYS = st.sampled_from(
+    ["extra", "x1", "x2", "x3", "rank", "value", "seed", "features", "flags"]
+)
+
+
+@st.composite
+def mutated_reports(draw):
+    """The reference report after up to four mutations, each at a dict or
+    list anywhere in it: drop an entry, add one, overwrite one or reorder
+    them; now and then the whole report is replaced by a non-dict."""
+    report = json.loads(json.dumps(reference_report()))
+    if draw(st.integers(0, 19)) == 0:
+        return draw(st.sampled_from([None, [], "report", 1.0]))
+    for _ in range(draw(st.integers(0, 4))):
+        holder = draw(st.sampled_from(_containers(report)))
+        action = draw(st.sampled_from(["drop", "add", "set", "reorder"]))
+        if isinstance(holder, dict):
+            keys = list(holder)
+            if action == "add":
+                holder[draw(_MUTANT_KEYS)] = draw(_MUTANT_VALUES)
+            elif action == "reorder":
+                items = draw(st.permutations(list(holder.items())))
+                holder.clear()
+                holder.update(items)
+            elif keys:
+                key = draw(st.sampled_from(keys))
+                if action == "drop":
+                    del holder[key]
+                else:
+                    holder[key] = draw(_MUTANT_VALUES)
+        else:
+            if action == "add":
+                holder.insert(draw(st.integers(0, len(holder))), draw(_MUTANT_VALUES))
+            elif action == "reorder":
+                holder[:] = draw(st.permutations(holder))
+            elif holder:
+                i = draw(st.integers(0, len(holder) - 1))
+                if action == "drop":
+                    del holder[i]
+                else:
+                    holder[i] = draw(_MUTANT_VALUES)
+    return report
+
+
+class TestAgainstTheReference:
+    """validate_report and render_svg against the slow reference above."""
+
+    @given(mutated_reports())
+    @settings(max_examples=1000, deadline=None)
+    def test_validator_raises_as_the_reference(self, report):
+        expected = _outcome(reference_validate_report, report)
+        assert _outcome(validate_report, report) == expected
+        assert expected is None or expected[0] is DataError
+
+    @given(
+        st.lists(st.text("<>&\"' ab;#", min_size=1, max_size=6),
+                 min_size=2, max_size=2, unique=True),
+        st.lists(st.text("<>&\"' ab;#", max_size=6), min_size=3, max_size=3),
+        st.lists(st.text("<>&\"' ab;#", min_size=1, max_size=8), max_size=3),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_svg_bytes_equal_the_reference_for_markup_names(
+        self, columns, names, flags, zero_importances
+    ):
+        report = reference_report()
+        rename = dict(zip(["x1", "x2"], columns))
+        report["dataset"], report["model"], report["predicted_class"] = names
+        report["flags"] = flags
+        report["instance"] = {rename[k]: v for k, v in report["instance"].items()}
+        for entry in report["importances"]:
+            entry["feature"] = rename[entry["feature"]]
+        if zero_importances:
+            for rank, entry in enumerate(report["importances"], 1):
+                entry["importance"], entry["rank"] = 0.0, rank
+        for section in ("allies", "enemies"):
+            for entry in report[section]:
+                entry["features"] = {rename[k]: v for k, v in entry["features"].items()}
+        assert render_svg(report) == reference_render_svg(report)
