@@ -37,7 +37,7 @@ from .evaluation import (
     STRATEGIES,
     FidelityConfig,
     FidelitySummary,
-    results_table,
+    _table_text,
     run_setting,
     write_results_csv,
 )
@@ -310,8 +310,9 @@ def cmd_evaluate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         FidelitySummary(setting, np.concatenate(parts))
         for setting, parts in pooled.items()
     ]
-    write_results_csv(summaries, args.out, alpha=args.alpha)
-    table = results_table(summaries, alpha=args.alpha)
+    # The CSV and the table share one set of significance tests.
+    flags = write_results_csv(summaries, args.out, alpha=args.alpha)
+    table = _table_text(summaries, flags)
     if args.table:
         with open(args.table, "w", encoding="utf-8") as fh:
             fh.write(table)

@@ -83,7 +83,8 @@ class LocalSurrogate:
 
     @property
     def degenerate(self) -> bool:
-        return bool(np.linalg.norm(self.weights) < DEGENERATE_WEIGHT_NORM)
+        # np.linalg.norm's own formula for a 1-D float array, bit for bit.
+        return math.sqrt(self.weights.dot(self.weights)) < DEGENERATE_WEIGHT_NORM
 
     def score(self, rows: np.ndarray) -> np.ndarray:
         return np.asarray(rows, dtype=np.float64) @ self.weights + self.intercept
@@ -344,8 +345,11 @@ def dissimilarities(
         )
     if s.degenerate:
         return distances
-    projected = np.abs(rows @ s.weights - z @ s.weights)
-    return projected * distances
+    b = rows @ s.weights
+    b -= z @ s.weights
+    np.abs(b, out=b)
+    b *= distances
+    return b
 
 
 def feature_importances(s: LocalSurrogate, z_std: np.ndarray) -> np.ndarray:
@@ -386,13 +390,14 @@ def retrieve_examples(
     b = dissimilarities(s, z, features, distances)
 
     def top(idx: np.ndarray) -> list[tuple[int, float]]:
-        return [(int(i), float(b[i])) for i in _smallest(idx, b[idx], k)]
+        chosen = _smallest(idx, b[idx], k)
+        return list(zip(chosen.tolist(), b[chosen].tolist()))
 
     # A row equal to z is at distance 0; a row at distance 0 may still
     # differ, when its squared difference underflows, so == confirms.
     at_z = np.flatnonzero(distances == 0.0)
-    at_z = at_z[np.all(features[at_z] == z, axis=1)]
     if at_z.size:
+        at_z = at_z[(features[at_z] == z).all(axis=1)]
         ally_rows = ally_rows[~np.isin(ally_rows, at_z, kind="sort")]
     return top(ally_rows), top(enemy_rows)
 
@@ -401,24 +406,24 @@ def _labels(model, rows: np.ndarray) -> np.ndarray:
     """The model's labels of ``rows`` as a new int64 array; ModelError
     unless they are integers of shape ``(len(rows),)``, each 0 or 1."""
     labels = np.asarray(model.predict_labels(rows))
-    if not (
-        labels.dtype.kind in "iu"
-        and labels.shape == (rows.shape[0],)
-        and np.all((labels == 0) | (labels == 1))
-    ):
-        raise ModelError(
-            f"{model.descriptor} model must return {rows.shape[0]} integer "
-            f"labels of 0 or 1, got a {labels.dtype} array of shape {labels.shape}"
-        )
-    return labels.astype(np.int64)
+    if labels.dtype.kind in "iu" and labels.shape == (rows.shape[0],):
+        converted = labels.astype(np.int64)
+        # Only 0 and 1 shift right to 0; an unsigned label past int64's
+        # range converts to a negative one.
+        if not (converted >> 1).any():
+            return converted
+    raise ModelError(
+        f"{model.descriptor} model must return {rows.shape[0]} integer "
+        f"labels of 0 or 1, got a {labels.dtype} array of shape {labels.shape}"
+    )
 
 
 # The training reference explain() keeps: weak references to its model,
 # dataset and standardizer, what _training_reference built from them, and
 # the surrogates fitted on it, keyed by (closest enemy, i_small), each as
-# read-only (weights, intercept, local indices).  Only explain() reads and
-# replaces it, once per call, and it is dropped once one of the three
-# objects dies.
+# read-only (weights, intercept, local indices) and whether it is
+# degenerate.  Only explain() reads and replaces it, once per call, and it
+# is dropped once one of the three objects dies.
 _reference: tuple | None = None
 
 
@@ -492,7 +497,7 @@ def explain(
     too_far = "instance lies too far from the training rows: {} overflows"
     with np.errstate(over="ignore"):
         z_std = standardizer.transform(z[None, :])[0]
-    if not np.all(np.isfinite(z_std)):
+    if not all(map(math.isfinite, z_std.tolist())):
         raise ExplanationError(too_far.format("its standardized value"))
     # Reuse is sound because all three objects are immutable: a Dataset
     # and a Standardizer hold read-only copies, a black box's labels are
@@ -503,7 +508,7 @@ def explain(
         weak = (weakref.ref(obj, _drop_reference) for obj in triple)
         ref = _reference = (*weak, *_training_reference(*triple), {})
     X_std, columns, predicted, class_rows, fits = ref[3:]
-    c_z = int(_labels(model, z_std[None, :])[0])
+    c_z = _labels(model, z_std[None, :]).item()
     ally_rows, enemy_rows = class_rows[c_z], class_rows[1 - c_z]
 
     distances = _euclidean(columns, z_std)
@@ -516,13 +521,13 @@ def explain(
         fitted = fit_local_linear(X_std, predicted, local_indices)
         for array in (fitted.weights, fitted.local_indices):
             array.flags.writeable = False
-        fits[key] = (fitted.weights, fitted.intercept, fitted.local_indices)
-    weights, intercept, indices = fits[key]
+        fits[key] = (
+            fitted.weights, fitted.intercept, fitted.local_indices, fitted.degenerate
+        )
+    weights, intercept, indices, degenerate = fits[key]
     surrogate = LocalSurrogate(weights.copy(), intercept, x_border, indices.copy())
 
-    flags = []
-    if surrogate.degenerate:
-        flags.append("degenerate_surrogate")
+    flags = ["degenerate_surrogate"] if degenerate else []
     quota = cfg.i_small * train.d
     for cls, rows in enumerate(class_rows):
         if rows.size < quota:
@@ -534,7 +539,10 @@ def explain(
             X_std, distances, ally_rows, enemy_rows, surrogate, z_std, cfg.k_examples
         )
     pairs = allies + enemies
-    if not (np.isfinite(importances).all() and all(math.isfinite(b) for _, b in pairs)):
+    finite = math.isfinite
+    if not (
+        all(map(finite, importances.tolist())) and all(finite(b) for _, b in pairs)
+    ):
         raise ExplanationError(too_far.format("an importance or a dissimilarity"))
     if len(allies) < cfg.k_examples:
         flags.append("ally_shortfall")
@@ -554,5 +562,5 @@ def explain(
         allies=examples[: len(allies)],
         enemies=examples[len(allies) :],
         surrogate=surrogate,
-        flags=tuple(sorted(set(flags))),
+        flags=tuple(sorted(flags)),
     )

@@ -381,7 +381,13 @@ def bold_flags(
 
 def results_table(summaries: list[FidelitySummary], alpha: float = 0.05) -> str:
     """Aligned text table; emphasized cells are wrapped in ``**``."""
-    flags = bold_flags(summaries, alpha)
+    return _table_text(summaries, bold_flags(summaries, alpha))
+
+
+def _table_text(
+    summaries: list[FidelitySummary], flags: dict[tuple[str, str, str, str], bool]
+) -> str:
+    """:func:`results_table` with the emphasis ``flags`` already decided."""
     header = ["dataset", "positive", "classifier", "strategy", "fidelity"]
     rows = [header]
     for s in summaries:
@@ -397,8 +403,11 @@ def results_table(summaries: list[FidelitySummary], alpha: float = 0.05) -> str:
 
 def write_results_csv(
     summaries: list[FidelitySummary], path: str, alpha: float = 0.05
-) -> None:
-    """Machine-readable results, one row per setting and strategy."""
+) -> dict[tuple[str, str, str, str], bool]:
+    """Machine-readable results, one row per setting and strategy.
+
+    Returns the :func:`bold_flags` it wrote, from which a caller renders
+    the table without running the tests again."""
     flags = bold_flags(summaries, alpha)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -417,3 +426,4 @@ def write_results_csv(
                     str(flags[s.setting]).lower(),
                 ]
             )
+    return flags

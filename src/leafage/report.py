@@ -12,7 +12,7 @@ import json
 import math
 
 from .core import Explanation
-from .data import Dataset
+from .data import Dataset, check_seed
 from .errors import DataError
 
 __all__ = [
@@ -54,7 +54,9 @@ def build_report(
     model_descriptor: str,
     seed: int = 0,
 ) -> dict:
-    """Assemble the canonical JSON document for one explanation."""
+    """Assemble the canonical JSON document for one explanation; ``seed``
+    must be a non-negative integer, as every other seed is."""
+    check_seed(seed)
     names = train.column_names
     importances = explanation.importances
     ranks = _ranks(importances)
@@ -97,8 +99,6 @@ def is_number(value) -> bool:
 def _number_problem(value) -> str | None:
     """Why ``value`` is not a number that converts to a finite double, or
     None when it is one."""
-    if type(value) is float:  # the usual value: no isinstance checks
-        return None if math.isfinite(value) else "is a non-finite number"
     if not is_number(value):
         return "must be a number"
     try:
@@ -109,6 +109,14 @@ def _number_problem(value) -> str | None:
 
 
 def _check_feature_values(features: dict, where: str) -> None:
+    """Every value of ``features`` converts to a finite double.  A map of
+    finite floats passes in one loop; any other goes through
+    :func:`_number_problem` value by value."""
+    for value in features.values():
+        if type(value) is not float or value - value != 0.0:  # inf or NaN
+            break
+    else:  # finite floats only
+        return
     for key, value in features.items():
         problem = _number_problem(value)
         if problem:
@@ -126,9 +134,36 @@ def _field_problem(value, kind: type) -> str | None:
     return None if isinstance(value, kind) else f"must be {kind.__name__}"
 
 
+# An int this far inside a double's range needs no overflow check.
+_SAFE_INT = 2**53
+
+
+def _exact_shape(obj, spec: dict) -> bool:
+    """``obj`` is a dict with exactly ``spec``'s fields, each value of
+    exactly its type, every float finite and every int within +-2**53.
+    Such an entry passes the per-field rule of :func:`_check_fields`; a
+    ``False`` only sends an entry to that rule."""
+    if type(obj) is not dict or len(obj) != len(spec):
+        return False
+    for key, kind in spec.items():
+        value = obj.get(key)  # a missing field reads None, of no spec type
+        if type(value) is not kind:
+            return False
+        if kind is float:
+            if value - value != 0.0:  # inf - inf and NaN - NaN are NaN
+                return False
+        elif kind is int and not -_SAFE_INT < value < _SAFE_INT:
+            return False
+    return True
+
+
 def _check_fields(obj: dict, spec: dict, where: str) -> None:
     """``obj`` is a dict with exactly ``spec``'s fields, each of its type.
-    A message is formatted only for the first problem, which raises."""
+    An entry of exact shape is accepted at once; any other is checked
+    field by field, and a message is formatted only for the first
+    problem, which raises."""
+    if _exact_shape(obj, spec):
+        return
     if not isinstance(obj, dict):
         raise DataError(f"{where} must be an object")
     if obj.keys() != spec.keys():
@@ -145,7 +180,9 @@ def _check_fields(obj: dict, spec: dict, where: str) -> None:
 
 def validate_report(report: dict) -> dict:
     """Strict schema check: refuses unknown fields and checks every number,
-    each in a typed field or a feature map, as a finite double."""
+    each in a typed field or a feature map, as a finite double.  It walks
+    the report once: each entry of exact shape passes at once, and only
+    another goes through the per-field rule."""
     _check_fields(report, _TOP_LEVEL_FIELDS, "report")
     if report["schema_version"] != SCHEMA_VERSION:
         raise DataError(
@@ -214,39 +251,21 @@ _FONT = 'font-family="monospace" font-size="12"'
 _BOLD = 'font-weight="bold"'
 
 
-def _text(x, y, text: str, style: str = "") -> str:
-    """One 12-pt text element of ``text``, which holds no markup: a name
-    from the report passes through :func:`_escape` first, while a number
-    cell of :func:`_fmt` cannot hold ``&``, ``<`` or ``>``.  ``style`` adds
-    attributes."""
-    font = f"{_FONT} {style}" if style else _FONT
-    return f'<text x="{x}" y="{y}" {font}>{text}</text>'
-
-
-def _table(
-    x: int, y: int, title: str, columns: list[str], rows: list[list[str]]
-) -> tuple[list[str], int]:
-    col_w = 88
-    parts = [_text(x, y, _escape(title), _BOLD)]
-    y += 8
-    for j, col in enumerate(columns):
-        parts.append(
-            _text(x + j * col_w, y + _ROW_H - 8, _escape(col), 'font-style="italic"')
-        )
-    for i, row in enumerate(rows):
-        ry = y + (i + 1) * _ROW_H
-        for j, cell in enumerate(row):
-            parts.append(_text(x + j * col_w, ry + _ROW_H - 8, cell))
-    return parts, y + (len(rows) + 1) * _ROW_H + 16
-
-
 def render_svg(report: dict) -> str:
-    """Deterministic SVG view of a validated report."""
+    """Deterministic SVG view of a validated report.
+
+    Each element is one f-string.  A name from the report passes through
+    :func:`_escape`, while a number cell of :func:`_fmt` cannot hold ``&``,
+    ``<`` or ``>``.  A text element's ``y`` is its row's top plus
+    ``_ROW_H - 8``.
+    """
     validate_report(report)
     names = list(report["instance"].keys())
-    columns = names + ["dissimilarity"]
-    table_x = 360
-    width = max(720, table_x + 88 * len(columns) + 24)
+    columns = [_escape(c) for c in names + ["dissimilarity"]]
+    table_x, col_w = 360, 88
+    column_x = [table_x + j * col_w for j in range(len(columns))]
+    width = max(720, table_x + col_w * len(columns) + 24)
+    baseline = _ROW_H - 8
 
     parts: list[str] = []
     parts.append(
@@ -257,57 +276,68 @@ def render_svg(report: dict) -> str:
     )
     y = 56
     if report["flags"]:
-        banner = "flags: " + ", ".join(report["flags"])
-        parts.append(_text(16, y, _escape(banner), 'fill="#a84444"'))
+        banner = _escape("flags: " + ", ".join(report["flags"]))
+        parts.append(f'<text x="16" y="{y}" {_FONT} fill="#a84444">{banner}</text>')
         y += 28
 
     entries = sorted(report["importances"], key=lambda e: e["rank"])
     max_importance = max((e["importance"] for e in entries), default=0.0)
     parts.append(
-        _text(16, y, "Relative feature importance (standardized units)", _BOLD)
+        f'<text x="16" y="{y}" {_FONT} {_BOLD}>'
+        "Relative feature importance (standardized units)</text>"
     )
     y += 12
     if max_importance > 0.0:
         for e in entries:
             bar = 220.0 * e["importance"] / max_importance
-            label = f'{_escape(e["feature"])} = {_fmt(e["value"])}'
-            parts.append(_text(16, y + _ROW_H - 8, label))
+            parts.append(
+                f'<text x="16" y="{y + baseline}" {_FONT}>'
+                f'{_escape(e["feature"])} = {_fmt(e["value"])}</text>'
+            )
             parts.append(
                 f'<rect x="140" y="{y + 6}" width="{bar:.1f}" height="12" '
                 f'fill="{_BAR_COLOR}"/>'
             )
             parts.append(
-                _text(f"{140 + bar + 6:.1f}", y + _ROW_H - 8, _fmt(e["importance"]))
+                f'<text x="{140 + bar + 6:.1f}" y="{y + baseline}" {_FONT}>'
+                f'{_fmt(e["importance"])}</text>'
             )
             y += _ROW_H
     else:
-        parts.append(_text(16, y + _ROW_H - 8, "(importances unavailable)"))
+        parts.append(
+            f'<text x="16" y="{y + baseline}" {_FONT}>(importances unavailable)</text>'
+        )
         y += _ROW_H
     left_bottom = y + 16
 
-    def rows_of(section: str) -> list[list[str]]:
-        return [
-            [_fmt(entry["features"][n]) for n in names]
-            + [_fmt(entry["dissimilarity"])]
-            for entry in report[section]
-        ]
-
-    table_parts, y_allies = _table(
-        table_x,
-        40,
-        f'Most similar cases also predicted {report["predicted_class"]}',
-        columns,
-        rows_of("allies"),
-    )
-    parts.extend(table_parts)
-    table_parts, right_bottom = _table(
-        table_x,
-        y_allies + 8,
-        "Most similar cases with the opposite prediction",
-        columns,
-        rows_of("enemies"),
-    )
-    parts.extend(table_parts)
+    # The two tables of examples, one below the other.
+    titles = {
+        "allies": f'Most similar cases also predicted {report["predicted_class"]}',
+        "enemies": "Most similar cases with the opposite prediction",
+    }
+    y = 32
+    for section, title in titles.items():
+        y += 8
+        parts.append(
+            f'<text x="{table_x}" y="{y}" {_FONT} {_BOLD}>{_escape(title)}</text>'
+        )
+        y += 8
+        for x, column in zip(column_x, columns):
+            parts.append(
+                f'<text x="{x}" y="{y + baseline}" {_FONT} font-style="italic">'
+                f"{column}</text>"
+            )
+        for entry in report[section]:
+            y += _ROW_H
+            features = entry["features"]
+            cells = [features[n] for n in names]
+            cells.append(entry["dissimilarity"])
+            for x, value in zip(column_x, cells):
+                parts.append(
+                    f'<text x="{x}" y="{y + baseline}" {_FONT}>{_fmt(value)}</text>'
+                )
+        y += _ROW_H + 16
+    right_bottom = y
 
     height = max(left_bottom, right_bottom) + 8
     body = "\n".join(parts)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import child_env
-from leafage import cli, models
+from leafage import cli, evaluation, models
 from leafage.cli import main
 from leafage.data import Dataset, SplitSpec, train_test_split
 from leafage.report import load_report
@@ -337,6 +337,23 @@ class TestEvaluate:
             "leafage: model error: unknown classifier 'quantum'; "
             "choose from ('lr', 'svm', 'lda', 'dt', 'rf', 'knn')\n"
         )
+
+    def test_bold_flags_decided_once_for_csv_and_table(self, tmp_path, monkeypatch):
+        bold_flags = evaluation.bold_flags
+        calls = []
+
+        def counting_bold_flags(*args, **kwargs):
+            calls.append(args)
+            return bold_flags(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "bold_flags", counting_bold_flags)
+        table = tmp_path / "table.txt"
+        assert run(["evaluate", "--datasets", "ad", "--n-per-class", 30,
+                    "--classifiers", "knn", "--strategies", "baseline",
+                    "--seed", 1, "--out", tmp_path / "r.csv",
+                    "--table", table]) == 0
+        assert len(calls) == 1
+        assert "**50.0 (0.0)**" in table.read_text()
 
     def test_table_to_stdout(self, tmp_path, capsys):
         run(["evaluate", "--datasets", "ad", "--n-per-class", 30,

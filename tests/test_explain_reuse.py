@@ -175,9 +175,11 @@ def test_kept_rows_and_labels_are_read_only():
     X_std, columns, predicted, class_rows = ref[3], ref[4], ref[5], ref[6]
     for array in (X_std, columns, predicted, *class_rows):
         assert not array.flags.writeable
-    # So are the arrays of each surrogate kept beside them.
-    for weights, _, local_indices in ref[7].values():
+    # So are the arrays of each surrogate kept beside them, whose
+    # degenerate flag is the norm rule's.
+    for weights, _, local_indices, degenerate in ref[7].values():
         assert not weights.flags.writeable and not local_indices.flags.writeable
+        assert degenerate == (np.linalg.norm(weights) < core.DEGENERATE_WEIGHT_NORM)
     assert len(class_rows) == 2
     for c, rows in enumerate(class_rows):
         assert np.array_equal(rows, np.flatnonzero(predicted == c))

@@ -157,6 +157,23 @@ class TestReportDocument:
         assert [e["rank"] for e in report["importances"]] == expected.tolist()
         assert validate_report(report) is report
 
+    @pytest.mark.parametrize(
+        "seed",
+        [1.7, True, np.float64(2.9), -3, "7"],
+        ids=["float", "bool", "numpy-float", "negative", "string"],
+    )
+    def test_build_refuses_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        train = Dataset(np.zeros((2, 1)), np.array([0, 1]), ["v0"], ["A", "B"])
+        explanation = Explanation(np.zeros(1), "A", np.ones(1), [], [], None)
+        with pytest.raises(DataError, match="^seed must be"):
+            build_report(explanation, train, "m", seed=seed)
+
+    def test_build_writes_a_numpy_integer_seed_as_an_int(self):
+        train = Dataset(np.zeros((2, 1)), np.array([0, 1]), ["v0"], ["A", "B"])
+        explanation = Explanation(np.zeros(1), "A", np.ones(1), [], [], None)
+        report = build_report(explanation, train, "m", seed=np.int64(5))
+        assert type(report["seed"]) is int and report["seed"] == 5
+
     def test_non_finite_importance_rejected(self, tmp_path):
         report = reference_report()
         report["importances"][0]["importance"] = float("nan")
@@ -577,8 +594,95 @@ def mutated_reports(draw):
     return report
 
 
+class _Dict(dict):
+    """A dict subclass: the per-field rule takes it, the exact-shape test
+    leaves it to that rule."""
+
+
+def _setting(*path, to):
+    """A mutation that replaces the value at ``path`` by ``to(old value)``."""
+    def mutate(report):
+        *parents, last = path
+        holder = report
+        for key in parents:
+            holder = holder[key]
+        holder[last] = to(holder[last])
+        return report
+    return mutate
+
+
+def _both(*mutations):
+    def mutate(report):
+        for mutation in mutations:
+            report = mutation(report)
+        return report
+    return mutate
+
+
+def _constant(value):
+    return lambda old: value
+
+
+# Values on which an exact-type test and the per-field rule can disagree,
+# each at the positions where it matters.  Index 0 of the importances is
+# x1, the less important feature.
+_EXACT_SHAPE_EDGES = {
+    "numpy-float-value": _setting("importances", 0, "value", to=np.float64),
+    "numpy-float-importance": _setting("importances", 1, "importance", to=np.float64),
+    "numpy-float-dissimilarity": _setting("allies", 2, "dissimilarity", to=np.float64),
+    "numpy-float-instance": _both(
+        _setting("instance", "x1", to=np.float64),
+        _setting("importances", 0, "value", to=np.float64),
+    ),
+    "numpy-float-example-feature": _setting("enemies", 1, "features", "x2", to=np.float64),
+    "int-value-alone": _setting("importances", 0, "value", to=_constant(2)),
+    "int-instance-and-value": _both(
+        _setting("instance", "x1", to=_constant(2)),
+        _setting("importances", 0, "value", to=_constant(2)),
+    ),
+    "int-importance": _setting("importances", 1, "importance", to=_constant(7)),
+    "int-dissimilarity": _setting("allies", 0, "dissimilarity", to=_constant(0)),
+    "int-example-feature": _setting("allies", 3, "features", "x1", to=_constant(-4)),
+    "float-rank": _setting("importances", 0, "rank", to=float),
+    "float-seed": _setting("seed", to=float),
+    "float-schema-version": _setting("schema_version", to=float),
+    "bool-value": _setting("importances", 0, "value", to=_constant(True)),
+    "bool-importance": _setting("importances", 0, "importance", to=_constant(True)),
+    "bool-dissimilarity": _setting("enemies", 4, "dissimilarity", to=_constant(True)),
+    "bool-instance": _setting("instance", "x2", to=_constant(False)),
+    "bool-example-feature": _setting("allies", 1, "features", "x2", to=_constant(True)),
+    "bool-rank": _setting("importances", 1, "rank", to=_constant(True)),
+    "bool-seed": _setting("seed", to=_constant(False)),
+    "bool-schema-version": _setting("schema_version", to=_constant(True)),
+    "inf-example-feature": _setting("enemies", 2, "features", "x1", to=_constant(math.inf)),
+    "nan-instance": _setting("instance", "x2", to=_constant(math.nan)),
+    "negative-zero-importance": _setting("importances", 0, "importance", to=_constant(-0.0)),
+    "huge-importance": _setting("importances", 1, "importance", to=_constant(10**400)),
+    "huge-dissimilarity": _setting("enemies", 0, "dissimilarity", to=_constant(10**400)),
+    "huge-example-feature": _setting("allies", 4, "features", "x1", to=_constant(10**400)),
+    "huge-rank": _setting("importances", 1, "rank", to=_constant(10**400)),
+    "huge-seed": _setting("seed", to=_constant(10**400)),
+    "large-exact-seed": _setting("seed", to=_constant(2**53)),
+    "dict-subclass-report": _Dict,
+    "dict-subclass-instance": _setting("instance", to=_Dict),
+    "dict-subclass-importance": _setting("importances", 1, to=_Dict),
+    "dict-subclass-ally": _setting("allies", 0, to=_Dict),
+    "dict-subclass-enemy-features": _setting("enemies", 3, "features", to=_Dict),
+}
+
+
 class TestAgainstTheReference:
     """validate_report and render_svg against the slow reference above."""
+
+    @pytest.mark.parametrize(
+        "mutate", _EXACT_SHAPE_EDGES.values(), ids=_EXACT_SHAPE_EDGES.keys()
+    )
+    def test_exact_shape_edges_as_the_reference(self, mutate):
+        report = mutate(reference_report())
+        expected = _outcome(reference_validate_report, report)
+        assert _outcome(validate_report, report) == expected
+        if expected is None:
+            assert render_svg(report) == reference_render_svg(report)
 
     @given(mutated_reports())
     @settings(max_examples=1000, deadline=None)
