@@ -419,11 +419,10 @@ def _labels(model, rows: np.ndarray) -> np.ndarray:
 
 
 # The training reference explain() keeps: weak references to its model,
-# dataset and standardizer, what _training_reference built from them, and
-# the surrogates fitted on it, keyed by (closest enemy, i_small), each as
-# read-only (weights, intercept, local indices) and whether it is
-# degenerate.  Only explain() reads and replaces it, once per call, and it
-# is dropped once one of the three objects dies.
+# dataset and standardizer, then what _row_set built from them, whose store
+# holds the surrogates fitted on it, keyed by (closest enemy, i_small), each
+# with read-only arrays.  Only explain() reads and replaces it, once per
+# call, and it is dropped once one of the three objects dies.
 _reference: tuple | None = None
 
 
@@ -434,22 +433,30 @@ def _drop_reference(dead: weakref.ref) -> None:
         _reference = None
 
 
-def _training_reference(
-    model, train: Dataset, standardizer: Standardizer
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """The standardized training rows, a Fortran-ordered copy of them for
-    :func:`_euclidean`, the model's labels of them, and the ascending row
-    indices of class 0 and of class 1, all read-only and built afresh.
+def _row_set(
+    model, rows: Dataset, standardizer: Standardizer, role: str = "training"
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray], dict]:
+    """The standardized ``rows``, a Fortran-ordered copy of them for
+    :func:`_euclidean`, the model's labels of them, the ascending row
+    indices of class 0 and of class 1, all read-only and built afresh, and
+    an empty store for the surrogates fitted on them.
 
-    It keeps nothing: :func:`explain` keeps the last one it was given.
+    DataError when a standardized value does not fit in a double; the
+    message names the ``role`` of the rows.
     """
-    X_std = standardizer.transform(train.features)
+    with np.errstate(over="ignore"):
+        X_std = standardizer.transform(rows.features)
+    if not np.isfinite(X_std).all():
+        raise DataError(
+            f"a standardized {role} row does not fit in a double; its values lie "
+            "too far outside the training rows' spread"
+        )
     predicted = _labels(model, X_std)
     columns = np.asfortranarray(X_std)
     class_rows = (np.flatnonzero(predicted == 0), np.flatnonzero(predicted == 1))
     for array in (X_std, columns, predicted, *class_rows):
         array.flags.writeable = False
-    return X_std, columns, predicted, class_rows
+    return X_std, columns, predicted, class_rows, {}
 
 
 def explain(
@@ -468,10 +475,10 @@ def explain(
     standardized-space magnitudes.
 
     This function alone keeps the training reference that
-    :func:`_training_reference` builds (the standardized training rows,
-    the model's labels of them and each class's row indices) from its
-    last call: a call with the same model, ``train`` and ``standardizer``
-    objects standardizes and labels only ``z``, whatever ran in between.
+    :func:`_row_set` builds (the standardized training rows, the model's
+    labels of them and each class's row indices) from its last call: a
+    call with the same model, ``train`` and ``standardizer`` objects
+    standardizes and labels only ``z``, whatever ran in between.
     Beside it, it keeps one surrogate per closest enemy and ``i_small``
     it has fitted on that reference, so an instance whose closest enemy
     an earlier one met is neither sampled nor fitted again; each call
@@ -482,8 +489,9 @@ def explain(
     worst rebuild the kept rows and labels or refit a kept surrogate,
     never mixing two models'.
     A non-finite ``z`` and a training set that is not binary are rejected,
-    and so is an instance so far from the training rows that its
-    standardized values, an importance or a dissimilarity overflows.
+    and so is a training row whose standardized values overflow, or an
+    instance so far from the training rows that its standardized values,
+    an importance or a dissimilarity overflows.
     """
     if len(train.class_names) != 2:
         raise DataError(
@@ -506,7 +514,7 @@ def explain(
     ref, triple = _reference, (model, train, standardizer)
     if ref is None or not all(r() is obj for r, obj in zip(ref, triple)):
         weak = (weakref.ref(obj, _drop_reference) for obj in triple)
-        ref = _reference = (*weak, *_training_reference(*triple), {})
+        ref = _reference = (*weak, *_row_set(*triple))
     X_std, columns, predicted, class_rows, fits = ref[3:]
     c_z = _labels(model, z_std[None, :]).item()
     ally_rows, enemy_rows = class_rows[c_z], class_rows[1 - c_z]
@@ -519,15 +527,14 @@ def explain(
     if key not in fits:
         local_indices = sample_local_training_set(columns, class_rows, x_border, cfg)
         fitted = fit_local_linear(X_std, predicted, local_indices)
-        for array in (fitted.weights, fitted.local_indices):
-            array.flags.writeable = False
-        fits[key] = (
-            fitted.weights, fitted.intercept, fitted.local_indices, fitted.degenerate
-        )
-    weights, intercept, indices, degenerate = fits[key]
-    surrogate = LocalSurrogate(weights.copy(), intercept, x_border, indices.copy())
+        fitted.weights.flags.writeable = fitted.local_indices.flags.writeable = False
+        fits[key] = fitted
+    kept = fits[key]
+    surrogate = LocalSurrogate(
+        kept.weights.copy(), kept.intercept, x_border, kept.local_indices.copy()
+    )
 
-    flags = ["degenerate_surrogate"] if degenerate else []
+    flags = ["degenerate_surrogate"] if surrogate.degenerate else []
     quota = cfg.i_small * train.d
     for cls, rows in enumerate(class_rows):
         if rows.size < quota:

@@ -18,9 +18,8 @@ import numpy as np
 from . import models
 from .core import (
     LeafageConfig,
-    LocalSurrogate,
     _euclidean,
-    _training_reference,
+    _row_set,
     closest_enemy,
     fit_local_linear,
     sample_local_training_set,
@@ -101,16 +100,10 @@ class FidelitySummary:
 
 def _rank_average(values: np.ndarray) -> np.ndarray:
     """Fractional ranks (1-based); tied values share the mean rank."""
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    boundary = np.concatenate(([True], sv[1:] != sv[:-1]))
-    group = np.cumsum(boundary) - 1
-    starts = np.flatnonzero(boundary)
-    ends = np.append(starts[1:], values.size)
-    mean_rank = (starts + ends - 1) / 2.0 + 1.0
-    ranks = np.empty(values.size)
-    ranks[order] = mean_rank[group]
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    # A group of c ties ending at rank e holds ranks e - c + 1 .. e.
+    return ((2 * ends - counts + 1) / 2.0)[inverse]
 
 
 def auc(labels: np.ndarray, scores: np.ndarray) -> float:
@@ -280,23 +273,16 @@ def run_setting(
 
     fitted = models.fit_on_standardized(classifier, train, seed=model_seed)
     model = fitted.model
-    X_train, columns, pred_train, class_rows = _training_reference(
+    X_train, columns, pred_train, class_rows, fits = _row_set(
         model, train, fitted.standardizer
     )
-    with np.errstate(over="ignore"):
-        X_test = fitted.standardizer.transform(test.features)
-    if not np.isfinite(X_test).all():
-        raise DataError(
-            "a standardized test row does not fit in a double; its values lie "
-            "too far outside the training rows' spread"
-        )
-    pred_test = model.predict_labels(X_test)
+    X_test, _, pred_test, test_rows, _ = _row_set(
+        model, test, fitted.standardizer, "test"
+    )
     quartile_bins = (
         QuartileBins.fit(X_train) if "lime-quartile" in strategies else None
     )
 
-    test_rows = (np.flatnonzero(pred_test == 0), np.flatnonzero(pred_test == 1))
-    surrogates: dict[int, LocalSurrogate] = {}
     starts: dict[str, np.ndarray] = {}
     scores = {s: np.full(test.n, np.nan) for s in strategies}
     for i in range(test.n):
@@ -316,12 +302,13 @@ def run_setting(
                 continue
             if strategy == "leafage":
                 x_border = closest_enemy(_euclidean(columns, z), enemy_rows)
-                if x_border not in surrogates:
+                key = (x_border, leafage_cfg.i_small)
+                if key not in fits:
                     local = sample_local_training_set(
                         columns, class_rows, x_border, leafage_cfg
                     )
-                    surrogates[x_border] = fit_local_linear(X_train, pred_train, local)
-                surrogate = surrogates[x_border]
+                    fits[key] = fit_local_linear(X_train, pred_train, local)
+                surrogate = fits[key]
             else:
                 seed = np.random.SeedSequence([lime_cfg.seed, i]).generate_state(1)[0]
                 cfg_i = replace(lime_cfg, seed=int(seed))

@@ -86,10 +86,14 @@ class _Tree:
 
 
 def _best_split(
-    X: np.ndarray, ys: np.ndarray, rows: np.ndarray, feature_ids: np.ndarray
+    X: np.ndarray,
+    ys: np.ndarray,
+    pos_total: int,
+    rows: np.ndarray,
+    feature_ids: np.ndarray,
 ) -> tuple[int, float] | None:
     """Lowest weighted child Gini over midpoint candidates; ``ys`` holds
-    the labels of the node's ``rows``.
+    the labels of the node's ``rows``, ``pos_total`` of them positive.
 
     Returns None when every candidate feature is constant on the node.
     Ties resolve to the lowest feature id, then the lowest threshold,
@@ -100,7 +104,6 @@ def _best_split(
     # The split after the i-th sorted row: the same for every feature.
     count_left = np.arange(1, n)
     count_right = n - count_left
-    pos_total = np.count_nonzero(ys)
     best = (np.inf, -1, 0.0)
     for f in feature_ids:
         values = X[rows, f]
@@ -146,15 +149,17 @@ def _grow(
     while stack:
         node, rows = stack.pop()
         ys = y[rows]
-        prob[node] = float(ys.mean())
-        if ys.min() == ys.max():
+        # Labels are 0 or 1: the count is exact, and so is the mean.
+        positives = int(np.count_nonzero(ys))
+        prob[node] = positives / rows.size
+        if positives in (0, rows.size):
             continue
         split = None
         if max_features < d:
             candidates = np.sort(rng.choice(d, size=max_features, replace=False))
-            split = _best_split(X, ys, rows, candidates)
+            split = _best_split(X, ys, positives, rows, candidates)
         if split is None:
-            split = _best_split(X, ys, rows, all_features)
+            split = _best_split(X, ys, positives, rows, all_features)
         if split is None:
             continue
         f, t = split

@@ -676,6 +676,20 @@ class TestExplain:
             explain(fitted.model, ds, np.array([value, 0.5]),
                     standardizer=fitted.standardizer)
 
+    def test_overflowing_training_row_rejected(self):
+        # The standardizer's x2 spreads over ~1e-150, so a training x2 of
+        # 1e200 standardizes to infinity.
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((40, 2)) * [1.0, 1e-150]
+        scaler = Standardizer.fit(X)
+        X[5, 1] = 1e200
+        ds = Dataset(X, (X[:, 0] > 0).astype(int), ["x1", "x2"], ["a", "b"])
+        model = FixedLinearModel([1.0, 0.0])
+        before = core._reference
+        with pytest.raises(DataError, match="^a standardized training row does not"):
+            explain(model, ds, X[0], standardizer=scaler)
+        assert core._reference is before
+
 
 class ReplyingModel(BlackBoxModel):
     """A fitted model whose labels, while ``broken``, are passed through

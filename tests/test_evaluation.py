@@ -136,7 +136,38 @@ def wilcoxon_enumeration_oracle(diff):
     return min(1.0, 2 * min(p_le, p_ge))
 
 
+def reference_rank_average(values: np.ndarray) -> np.ndarray:
+    """Fractional ranks from one stable sort: each run of equal sorted
+    values shares the mean of its positions."""
+    order = np.argsort(values, kind="stable")
+    sv = values[order]
+    boundary = np.concatenate(([True], sv[1:] != sv[:-1]))
+    group = np.cumsum(boundary) - 1
+    starts = np.flatnonzero(boundary)
+    ends = np.append(starts[1:], values.size)
+    mean_rank = (starts + ends - 1) / 2.0 + 1.0
+    ranks = np.empty(values.size)
+    ranks[order] = mean_rank[group]
+    return ranks
+
+
 class TestWilcoxon:
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 1e-300, 0.5, 1.0, 2.0, math.inf]),
+                st.floats(0.0, 1e6),
+            ),
+            min_size=0,
+            max_size=60,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_rank_average_equals_the_sort_reference(self, values):
+        values = np.array(values, dtype=np.float64)
+        got = evaluation._rank_average(values)
+        assert got.tobytes() == reference_rank_average(values).tobytes()
+
     def test_identical_vectors_inconclusive(self):
         a = np.arange(10.0)
         result = wilcoxon_signed_rank(a, a)

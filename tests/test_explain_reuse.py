@@ -177,7 +177,10 @@ def test_kept_rows_and_labels_are_read_only():
         assert not array.flags.writeable
     # So are the arrays of each surrogate kept beside them, whose
     # degenerate flag is the norm rule's.
-    for weights, _, local_indices, degenerate in ref[7].values():
+    for kept in ref[7].values():
+        weights, local_indices, degenerate = (
+            kept.weights, kept.local_indices, kept.degenerate
+        )
         assert not weights.flags.writeable and not local_indices.flags.writeable
         assert degenerate == (np.linalg.norm(weights) < core.DEGENERATE_WEIGHT_NORM)
     assert len(class_rows) == 2
